@@ -178,12 +178,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     detector those commands would fit at startup — deploy it with
     their ``--model-id``/``--registry-dir`` and they skip the fit.
     """
-    tracer, metrics = _make_obs(args)
-    with tracer.span("cli.corpus"):
+    obs = _RunObs(args)
+    with obs.tracer.span("cli.corpus"):
         corpus = _build_corpus(args)
     split = app_level_split(corpus, 0.7, seed=args.split_seed)
     config = DetectorConfig(args.classifier, args.ensemble, args.hpcs)
-    with tracer.span("cli.fit", config=config.name):
+    with obs.tracer.span("cli.fit", config=config.name):
         detector = HMDDetector(config).fit(split.train)
     try:
         registry = ModelRegistry(args.registry_dir)
@@ -202,7 +202,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"  deploy: repro-hmd serve --registry-dir {args.registry_dir} "
         f"--model-id {entry.short_id}"
     )
-    _dump_obs(args, tracer, metrics)
+    obs.finish()
     return 0
 
 
@@ -405,63 +405,11 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_obs(args: argparse.Namespace) -> tuple[Tracer, Registry]:
-    """Tracer/registry for this invocation — enabled only when asked.
-
-    ``--archive-dir`` also enables both: the archive ingests this run's
-    trace events and metrics snapshot, so archiving implies observing.
-    """
-    archiving = bool(getattr(args, "archive_dir", None))
-    return (
-        Tracer(enabled=bool(args.trace_out) or archiving),
-        Registry(enabled=bool(args.metrics_out) or archiving),
-    )
-
-
-def _dump_obs(args: argparse.Namespace, tracer: Tracer, metrics: Registry) -> None:
-    if args.trace_out:
-        n = tracer.dump(args.trace_out)
-        print(f"wrote trace {args.trace_out} ({n} events)", file=sys.stderr)
-    if args.metrics_out:
-        metrics.dump(args.metrics_out)
-        print(f"wrote metrics {args.metrics_out}", file=sys.stderr)
-
-
 def _add_archive_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--archive-dir", default=None, metavar="DIR",
         help="archive this run's verdicts/alerts/spans and metrics into "
         "the fleet history at DIR (query with: repro-hmd report)",
-    )
-
-
-def _archive_run(
-    args: argparse.Namespace, tracer: Tracer, metrics: Registry, run_meta: dict
-) -> None:
-    """Ingest the finished run into the fleet archive when asked.
-
-    The segment is content-addressed, so re-running the identical
-    workload archives a new segment only if its records differ (the
-    timestamps will), while re-ingesting this run's own ``--trace-out``
-    file later is a no-op.
-    """
-    if not args.archive_dir:
-        return
-    try:
-        result = Archive(args.archive_dir).ingest_events(
-            tracer.events,
-            metrics=metrics.snapshot(),
-            run_meta=run_meta,
-            run_id=args.trace_out,
-            source=run_meta.get("command", "trace"),
-        )
-    except (OSError, ArchiveError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    print(
-        f"archived segment {result.segment_id[:12]} "
-        f"({result.n_verdicts} verdicts, {result.n_alerts} alerts)"
-        + ("" if result.ingested else " [already archived]"),
-        file=sys.stderr,
     )
 
 
@@ -548,90 +496,116 @@ def _add_quality_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_quality(
-    args: argparse.Namespace, tracer: Tracer, metrics: Registry
-) -> QualityTracker | None:
-    """Build the in-process drift tracker when --quality-ref asks.
+class _RunObs:
+    """One invocation's observability, built from its flags.
 
-    Drift observations and alert transitions land in the run's
-    tracer/registry (and stderr), so ``--trace-out`` artifacts carry the
-    drift history for ``watch`` / ``report`` to consume.
+    The tracer and registry are enabled only when ``--trace-out`` /
+    ``--metrics-out`` ask, or ``--archive-dir``: the archive ingests
+    this run's trace events and metrics snapshot, so archiving implies
+    observing.  On the detection verbs (``monitor``/``fleet``/
+    ``serve``) the health evaluator and drift tracker are built when
+    their flags ask; their alert transitions render to stderr and land
+    in the run's tracer/registry, so the dumped artifacts carry the
+    health and drift history for ``watch``/``report``.
     """
-    if not args.quality_ref:
-        if args.quality_out or args.quality_alert:
-            raise SystemExit(
-                "error: --quality-out/--quality-alert need --quality-ref"
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        archiving = bool(getattr(args, "archive_dir", None))
+        self.tracer = Tracer(enabled=bool(args.trace_out) or archiving)
+        self.metrics = Registry(enabled=bool(args.metrics_out) or archiving)
+        self.health = self._health() if hasattr(args, "health_out") else None
+        self.quality = self._quality() if hasattr(args, "quality_ref") else None
+
+    def _health(self) -> HealthEvaluator | None:
+        args = self.args
+        rules, slos = _health_rules_and_slos(args)
+        if not (args.health_out or rules or slos):
+            return None
+        return HealthEvaluator(
+            rules=rules, slos=slos, window_s=args.health_window,
+            tracer=self.tracer, metrics=self.metrics, stream=sys.stderr,
+        )
+
+    def _quality(self) -> QualityTracker | None:
+        args = self.args
+        if not args.quality_ref:
+            if args.quality_out or args.quality_alert:
+                raise SystemExit(
+                    "error: --quality-out/--quality-alert need --quality-ref"
+                )
+            return None
+        try:
+            profile = ReferenceProfile.load(args.quality_ref)
+        except QualityError as exc:
+            raise SystemExit(f"error: {exc}") from exc
+        return QualityTracker(
+            profile,
+            rules=args.quality_alert or None,
+            window_s=args.quality_window,
+            min_windows=args.quality_min_windows,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            stream=sys.stderr,
+        )
+
+    def finish(self, run_meta: dict | None = None) -> None:
+        """Summarize and dump every artifact, then archive the run.
+
+        The archived segment is content-addressed, so re-running the
+        identical workload archives a new segment only if its records
+        differ (the timestamps will), while re-ingesting this run's own
+        ``--trace-out`` file later is a no-op.
+        """
+        args = self.args
+        if self.health is not None:
+            firing = [state.rule.name for state in self.health.firing]
+            print(
+                f"health: {int(self.health.window.total_verdicts)} verdicts "
+                f"observed, {len(firing)} alert(s) firing"
+                + (f" ({', '.join(firing)})" if firing else ""),
+                file=sys.stderr,
             )
-        return None
-    try:
-        profile = ReferenceProfile.load(args.quality_ref)
-    except QualityError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    return QualityTracker(
-        profile,
-        rules=args.quality_alert or None,
-        window_s=args.quality_window,
-        min_windows=args.quality_min_windows,
-        tracer=tracer,
-        metrics=metrics,
-        stream=sys.stderr,
-    )
-
-
-def _finish_quality(
-    args: argparse.Namespace, quality: QualityTracker | None
-) -> None:
-    if quality is None:
-        return
-    report = quality.report()
-    psi = report["signals"]["max_feature_psi"]
-    print(
-        f"quality: {report['totals']['executions']} executions / "
-        f"{report['totals']['windows']} windows scored, "
-        f"max feature PSI {'-' if psi != psi else format(psi, '.3f')}, "
-        f"drift alerts fired: {'yes' if report['drift_fired'] else 'no'}",
-        file=sys.stderr,
-    )
-    if args.quality_out:
-        quality.dump(args.quality_out)
-        print(f"wrote quality report {args.quality_out}", file=sys.stderr)
-
-
-def _make_health(
-    args: argparse.Namespace, tracer: Tracer, metrics: Registry
-) -> HealthEvaluator | None:
-    """Build the in-process health evaluator when any health flag asks.
-
-    Alert transitions are rendered to stderr as they happen and also
-    recorded into the run's tracer/registry, so ``--trace-out`` /
-    ``--metrics-out`` artifacts carry the health history.
-    """
-    rules, slos = _health_rules_and_slos(args)
-    if not (args.health_out or rules or slos):
-        return None
-    return HealthEvaluator(
-        rules=rules,
-        slos=slos,
-        window_s=args.health_window,
-        tracer=tracer,
-        metrics=metrics,
-        stream=sys.stderr,
-    )
-
-
-def _finish_health(args: argparse.Namespace, health: HealthEvaluator | None) -> None:
-    if health is None:
-        return
-    firing = [state.rule.name for state in health.firing]
-    print(
-        f"health: {int(health.window.total_verdicts)} verdicts observed, "
-        f"{len(firing)} alert(s) firing"
-        + (f" ({', '.join(firing)})" if firing else ""),
-        file=sys.stderr,
-    )
-    if args.health_out:
-        health.dump(args.health_out)
-        print(f"wrote health report {args.health_out}", file=sys.stderr)
+            if args.health_out:
+                self.health.dump(args.health_out)
+                print(f"wrote health report {args.health_out}", file=sys.stderr)
+        if self.quality is not None:
+            report = self.quality.report()
+            psi = report["signals"]["max_feature_psi"]
+            print(
+                f"quality: {report['totals']['executions']} executions / "
+                f"{report['totals']['windows']} windows scored, "
+                f"max feature PSI {'-' if psi != psi else format(psi, '.3f')}, "
+                f"drift alerts fired: {'yes' if report['drift_fired'] else 'no'}",
+                file=sys.stderr,
+            )
+            if args.quality_out:
+                self.quality.dump(args.quality_out)
+                print(f"wrote quality report {args.quality_out}", file=sys.stderr)
+        if args.trace_out:
+            n = self.tracer.dump(args.trace_out)
+            print(f"wrote trace {args.trace_out} ({n} events)", file=sys.stderr)
+        if args.metrics_out:
+            self.metrics.dump(args.metrics_out)
+            print(f"wrote metrics {args.metrics_out}", file=sys.stderr)
+        if not getattr(args, "archive_dir", None):
+            return
+        try:
+            result = Archive(args.archive_dir).ingest_events(
+                self.tracer.events,
+                metrics=self.metrics.snapshot(),
+                run_meta=run_meta,
+                run_id=args.trace_out,
+                source=(run_meta or {}).get("command", "trace"),
+            )
+        except (OSError, ArchiveError) as exc:
+            raise SystemExit(f"error: {exc}") from exc
+        print(
+            f"archived segment {result.segment_id[:12]} "
+            f"({result.n_verdicts} verdicts, {result.n_alerts} alerts)"
+            + ("" if result.ingested else " [already archived]"),
+            file=sys.stderr,
+        )
 
 
 def _make_runner(
@@ -674,8 +648,8 @@ def _report_timings(runner, args: argparse.Namespace) -> None:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     """Run a slice of the evaluation grid and print Figs 3/5, Table 2."""
-    tracer, metrics = _make_obs(args)
-    with tracer.span("cli.corpus"):
+    obs = _RunObs(args)
+    with obs.tracer.span("cli.corpus"):
         corpus = _build_corpus(args)
     configs = [
         DetectorConfig(classifier, ensemble, n_hpcs)
@@ -684,11 +658,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         for ensemble in args.ensembles
     ]
     runner = _make_runner(
-        corpus, tuple(args.split_seeds), args, len(configs), tracer, metrics
+        corpus, tuple(args.split_seeds), args, len(configs), obs.tracer, obs.metrics
     )
-    with tracer.span("cli.grid", cells=len(configs)):
+    with obs.tracer.span("cli.grid", cells=len(configs)):
         records = runner.evaluate_grid(configs)
-    with tracer.span("cli.render"):
+    with obs.tracer.span("cli.render"):
         print(figure3_table(records))
         print()
         print(table2_table(records))
@@ -697,45 +671,43 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         print()
         print(improvement_summary(records))
         _report_timings(runner, args)
-    _dump_obs(args, tracer, metrics)
+    obs.finish()
     return 0
 
 
 def cmd_hardware(args: argparse.Namespace) -> int:
     """Reproduce Table 3: hardware latency/area estimates."""
-    tracer, metrics = _make_obs(args)
-    with tracer.span("cli.corpus"):
+    obs = _RunObs(args)
+    with obs.tracer.span("cli.corpus"):
         corpus = _build_corpus(args)
     configs = table3_grid()
     runner = _make_runner(
-        corpus, (args.split_seed,), args, len(configs), tracer, metrics
+        corpus, (args.split_seed,), args, len(configs), obs.tracer, obs.metrics
     )
-    with tracer.span("cli.grid", cells=len(configs)):
+    with obs.tracer.span("cli.grid", cells=len(configs)):
         records = runner.hardware_grid(configs)
-    with tracer.span("cli.render"):
+    with obs.tracer.span("cli.render"):
         print(table3_table(records))
         _report_timings(runner, args)
-    _dump_obs(args, tracer, metrics)
+    obs.finish()
     return 0
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Deploy a detector and stream fresh executions through it."""
-    tracer, metrics = _make_obs(args)
-    with tracer.span("cli.corpus"):
+    obs = _RunObs(args)
+    with obs.tracer.span("cli.corpus"):
         corpus = _build_corpus(args)
     split = app_level_split(corpus, 0.7, seed=args.split_seed)
-    detector = _load_or_fit_detector(args, tracer, split)
-    health = _make_health(args, tracer, metrics)
-    quality = _make_quality(args, tracer, metrics)
+    detector = _load_or_fit_detector(args, obs.tracer, split)
     monitor = RuntimeMonitor(
         detector,
         n_counters=args.counters,
         vote_threshold=args.vote_threshold,
-        tracer=tracer,
-        metrics=metrics,
-        health=health,
-        quality=quality,
+        tracer=obs.tracer,
+        metrics=obs.metrics,
+        health=obs.health,
+        quality=obs.quality,
     )
     pool = ContainerPool(seed=args.seed + 99)
     import numpy as np
@@ -743,7 +715,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed + 100)
     correct = 0
     total = 0
-    with tracer.span("cli.monitor"):
+    with obs.tracer.span("cli.monitor"):
         for family in (BENIGN_FAMILIES + MALWARE_FAMILIES)[:: args.stride]:
             app = family.instantiate(rng)[0]
             truth = family.label == MALWARE
@@ -756,9 +728,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                 f"flagged={verdict.malware_fraction:.0%}"
             )
     print(f"\napplication-level accuracy: {correct}/{total}")
-    _finish_health(args, health)
-    _finish_quality(args, quality)
-    _dump_obs(args, tracer, metrics)
+    obs.finish()
     return 0
 
 
@@ -766,18 +736,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     """Monitor a fleet of fresh executions, optionally under faults."""
     import numpy as np
 
-    tracer, metrics = _make_obs(args)
-    with tracer.span("cli.corpus"):
+    obs = _RunObs(args)
+    with obs.tracer.span("cli.corpus"):
         corpus = _build_corpus(args)
     split = app_level_split(corpus, 0.7, seed=args.split_seed)
-    detector = _load_or_fit_detector(args, tracer, split)
+    detector = _load_or_fit_detector(args, obs.tracer, split)
     faults = (
         FaultPlan(seed=args.seed + 123, **args.faults)
         if args.faults is not None
         else None
     )
-    health = _make_health(args, tracer, metrics)
-    quality = _make_quality(args, tracer, metrics)
     fleet = FleetMonitor(
         detector,
         workers=args.fleet_workers,
@@ -786,10 +754,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         faults=faults,
         retry=RetryPolicy(max_attempts=args.retries),
         pool_seed=args.seed + 99,
-        tracer=tracer,
-        metrics=metrics,
-        health=health,
-        quality=quality,
+        tracer=obs.tracer,
+        metrics=obs.metrics,
+        health=obs.health,
+        quality=obs.quality,
     )
     rng = np.random.default_rng(args.seed + 100)
     jobs = []
@@ -819,11 +787,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         f"degraded: {degraded}  windows lost: {lost}  "
         f"mean confidence: {mean_conf:.2f}"
     )
-    _finish_health(args, health)
-    _finish_quality(args, quality)
-    _dump_obs(args, tracer, metrics)
-    _archive_run(
-        args, tracer, metrics,
+    obs.finish(
         {
             "command": "fleet",
             "seed": args.seed,
@@ -850,18 +814,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Stream executions through the long-running detection service."""
     import numpy as np
 
-    tracer, metrics = _make_obs(args)
-    with tracer.span("cli.corpus"):
+    obs = _RunObs(args)
+    with obs.tracer.span("cli.corpus"):
         corpus = _build_corpus(args)
     split = app_level_split(corpus, 0.7, seed=args.split_seed)
-    detector = _load_or_fit_detector(args, tracer, split)
+    detector = _load_or_fit_detector(args, obs.tracer, split)
     faults = (
         ServiceFaultPlan(seed=args.seed + 321, **args.faults)
         if args.faults is not None
         else None
     )
-    health = _make_health(args, tracer, metrics)
-    quality = _make_quality(args, tracer, metrics)
     service = DetectionService(
         detector,
         producers=args.producers,
@@ -872,10 +834,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host_vote_windows=args.host_vote_windows,
         faults=faults,
         pool_seed=args.seed + 99,
-        tracer=tracer,
-        metrics=metrics,
-        health=health,
-        quality=quality,
+        tracer=obs.tracer,
+        metrics=obs.metrics,
+        health=obs.health,
+        quality=obs.quality,
     )
     rng = np.random.default_rng(args.seed + 100)
     families = BENIGN_FAMILIES + MALWARE_FAMILIES
@@ -928,11 +890,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"backpressure waits: {report.backpressure_waits}  "
         f"host alerts: {len(report.alerts)}"
     )
-    _finish_health(args, health)
-    _finish_quality(args, quality)
-    _dump_obs(args, tracer, metrics)
-    _archive_run(
-        args, tracer, metrics,
+    obs.finish(
         serve_run_meta(
             seed=args.seed,
             windows=args.windows,
@@ -976,17 +934,17 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     """Cross-validated detector scores with fold error bars."""
     from repro.analysis.crossval import cross_validated_record, stability_table
 
-    tracer, metrics = _make_obs(args)
-    c_folds = metrics.counter(
+    obs = _RunObs(args)
+    c_folds = obs.metrics.counter(
         "crossval_records_total", "cross-validated records computed"
     )
-    with tracer.span("cli.corpus"):
+    with obs.tracer.span("cli.corpus"):
         corpus = _build_corpus(args)
     records = []
-    with tracer.span("cli.crossval", folds=args.folds):
+    with obs.tracer.span("cli.crossval", folds=args.folds):
         for classifier in args.classifiers or ("REPTree", "JRip", "OneR"):
             config = DetectorConfig(classifier, args.ensemble, args.hpcs)
-            with tracer.span("crossval.record", config=config.name):
+            with obs.tracer.span("crossval.record", config=config.name):
                 records.append(
                     cross_validated_record(
                         corpus, config, n_folds=args.folds, seed=args.split_seed
@@ -994,7 +952,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
                 )
             c_folds.inc()
     print(stability_table(records))
-    _dump_obs(args, tracer, metrics)
+    obs.finish()
     return 0
 
 

@@ -22,8 +22,9 @@ from repro.core.fleet import FleetJob, FleetMonitor, RetryPolicy
 from repro.core.runtime import (
     DetectionVerdict,
     RuntimeMonitor,
-    classify_trace,
+    VerdictSink,
     detection_latency_windows,
+    grade_trace,
     validate_deployment,
 )
 from repro.core.specialized import SpecializedEnsembleDetector
@@ -48,9 +49,10 @@ __all__ = [
     "RetryPolicy",
     "RuntimeMonitor",
     "SpecializedEnsembleDetector",
+    "VerdictSink",
     "build_base_classifier",
     "build_model",
-    "classify_trace",
     "detection_latency_windows",
+    "grade_trace",
     "validate_deployment",
 ]

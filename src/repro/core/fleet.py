@@ -27,11 +27,13 @@ scheduling, and with a seeded :class:`~repro.hpc.faults.FaultPlan` the
 whole degraded run replays exactly.
 
 Per-application classification goes through
-:func:`~repro.core.runtime.classify_trace`, i.e. each execution's
+:func:`~repro.core.runtime.grade_trace`, i.e. each execution's
 windows (and each retry's salvaged windows) hit the detector as one
 batch through the vectorized inference kernels — the fleet's
 windows/second ceiling is the per-detector rate pinned by
-``benchmarks/bench_inference.py`` times the worker count.
+``benchmarks/bench_inference.py`` times the worker count.  Each final
+verdict is published through the shared
+:class:`~repro.core.runtime.VerdictSink`.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ import numpy as np
 from repro.core.detector import HMDDetector
 from repro.core.runtime import (
     DetectionVerdict,
-    classify_trace,
-    detection_latency_windows,
-    observe_execution_quality,
+    VerdictSink,
+    grade_trace,
     validate_deployment,
 )
 from repro.hpc.events import ALL_EVENTS
@@ -67,7 +68,6 @@ from repro.hpc.lxc import ContainerPool
 from repro.hpc.microarch import DEFAULT_WINDOW_MS, ApplicationBehavior
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
-    FAST_LATENCY_BUCKETS,
     NULL_REGISTRY,
     NULL_TRACER,
     HealthEvaluator,
@@ -193,10 +193,11 @@ class FleetMonitor:
             evaluator observes but never alters verdicts, so fleet
             output stays bit-identical with health enabled.
         quality: optional :class:`~repro.obs.QualityTracker` fed every
-            execution's reduced feature windows and graded scores for
-            drift scoring (pristine re-reduction, so counter glitches
-            never masquerade as drift); observes only, verdicts stay
-            bit-identical, and None costs one attribute check.
+            verdict's reduced feature windows and graded scores for
+            drift scoring (a glitching register file either raises or
+            reads the pristine counts, so glitches never masquerade as
+            drift); observes only, verdicts stay bit-identical, and None
+            costs one attribute check.
         sleep: injection point for backoff sleeping (tests pass a
             recorder; production uses :func:`time.sleep`).
     """
@@ -233,18 +234,12 @@ class FleetMonitor:
         self.health = health
         self.quality = quality
         self.sleep = sleep
+        self.sink = VerdictSink(
+            "fleet", vote_threshold, self.tracer, self.metrics, health, quality
+        )
         # Instrument updates happen from worker threads; Counter.inc is
         # a read-modify-write, so serialize them with one fleet lock.
         self._metrics_lock = threading.Lock()
-        self._c_apps = self.metrics.counter(
-            "fleet_apps_total", "applications monitored by the fleet"
-        )
-        self._c_windows = self.metrics.counter(
-            "fleet_windows_total", "sampling windows classified by the fleet"
-        )
-        self._c_alarms = self.metrics.counter(
-            "fleet_alarms_total", "application-level malware alarms raised"
-        )
         self._c_retries = self.metrics.counter(
             "fleet_retries_total", "transient-fault retries performed"
         )
@@ -268,12 +263,6 @@ class FleetMonitor:
             "retry backoff sleeps (exponential, deterministic jitter)",
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
-        self._h_classify = self.metrics.histogram(
-            "fleet_window_classify_seconds",
-            "per-window classification latency (amortized over each "
-            "attempt's batch)",
-            buckets=FAST_LATENCY_BUCKETS,
-        )
 
     def _inc(self, counter, amount: float = 1.0) -> None:
         with self._metrics_lock:
@@ -282,8 +271,11 @@ class FleetMonitor:
     # -- one application ------------------------------------------------
     def _attempt(
         self, job: FleetJob, pool: ContainerPool | FaultyContainerPool, attempt: int
-    ) -> DetectionVerdict:
-        """One monitoring attempt; raises on permanent/transient faults."""
+    ) -> tuple:
+        """One monitoring attempt; raises on permanent/transient faults.
+
+        Returns the verdict, the graded windows, and the classify time.
+        """
         draw = (
             self.faults.draw(job.app.name, attempt, job.n_windows)
             if self.faults is not None
@@ -316,38 +308,30 @@ class FleetMonitor:
             )
         try:
             start = time.perf_counter()
-            flags = classify_trace(
+            flags, readings, scores = grade_trace(
                 self.detector, self.n_counters, trace, register_file=register_file
             )
             elapsed = time.perf_counter() - start
         except CounterReadGlitchError as exc:
             raise _TransientFault("glitch", trace[: exc.windows_read]) from exc
-        if flags.size:
-            per_window = elapsed / flags.size
-            with self._metrics_lock:
-                self._h_classify.observe_many(per_window, int(flags.size))
-            if self.health is not None:
-                self.health.observe_classify(per_window, int(flags.size))
         if n_lost:
             self._inc(self._c_dropped, n_lost)
         verdict = DetectionVerdict.from_flags(
             job.app.name, flags, self.vote_threshold, n_windows_lost=n_lost
         )
-        if self.quality is not None:
-            observe_execution_quality(
-                self.quality, self.detector, self.n_counters, trace,
-                verdict, self.vote_threshold, job.is_malware, job.app.name,
-            )
-        return verdict
+        return verdict, readings, scores, elapsed
 
-    def _degrade(self, job: FleetJob, salvage_trace: np.ndarray) -> DetectionVerdict:
+    def _degrade(self, job: FleetJob, salvage_trace: np.ndarray) -> tuple:
         """Quorum verdict over whatever raw windows survived the faults.
 
         The salvage is classified with a pristine register file — the
         degradation path must itself be fault-free, or the verdict
-        stream would stop being total.
+        stream would stop being total.  Its classify time is not a
+        latency observation, so none is returned.
         """
-        flags = classify_trace(self.detector, self.n_counters, salvage_trace)
+        flags, readings, scores = grade_trace(
+            self.detector, self.n_counters, salvage_trace
+        )
         n_lost = job.n_windows - int(salvage_trace.shape[0])
         self._inc(self._c_dropped, n_lost)
         verdict = DetectionVerdict.from_flags(
@@ -357,12 +341,7 @@ class FleetMonitor:
             n_windows_lost=n_lost,
             degraded=True,
         )
-        if self.quality is not None:
-            observe_execution_quality(
-                self.quality, self.detector, self.n_counters, salvage_trace,
-                verdict, self.vote_threshold, job.is_malware, job.app.name,
-            )
-        return verdict
+        return verdict, readings, scores, None
 
     def _monitor_app(self, job: FleetJob, index: int) -> DetectionVerdict:
         """Monitor one application to exactly one verdict, never raising."""
@@ -381,11 +360,11 @@ class FleetMonitor:
             while True:
                 attempts += 1
                 try:
-                    verdict = self._attempt(job, pool, attempts - 1)
+                    graded = self._attempt(job, pool, attempts - 1)
                     break
                 except PermanentHostError:
                     self._inc(self._c_permanent)
-                    verdict = self._degrade(job, no_evidence)
+                    graded = self._degrade(job, no_evidence)
                     break
                 except _TransientFault as fault:
                     self._inc(
@@ -397,7 +376,7 @@ class FleetMonitor:
                         and time.monotonic() - started >= self.retry.timeout_s
                     )
                     if attempts >= self.retry.max_attempts or timed_out:
-                        verdict = self._degrade(job, salvage)
+                        graded = self._degrade(job, salvage)
                         break
                     jitter_rng = (
                         self.faults.jitter_rng(job.app.name, attempts)
@@ -409,39 +388,20 @@ class FleetMonitor:
                         self._c_retries.inc()
                         self._h_backoff.observe(backoff)
                     self.sleep(backoff)
+            verdict, readings, scores, elapsed = graded
             span.set(attempts=attempts, degraded=verdict.degraded)
-        with self._metrics_lock:
-            self._c_apps.inc()
-            self._c_windows.inc(verdict.n_windows)
-            if verdict.is_malware:
-                self._c_alarms.inc()
-            if verdict.degraded:
-                self._c_degraded.inc()
-        self.tracer.event(
-            "fleet.verdict",
-            app=job.app.name,
+        if verdict.degraded:
+            self._inc(self._c_degraded)
+        self.sink.emit(
+            verdict,
             host=job.app.name,
             index=index,
-            is_malware=verdict.is_malware,
-            malware_fraction=verdict.malware_fraction,
-            confidence=verdict.confidence,
-            n_windows=verdict.n_windows,
-            n_windows_lost=verdict.n_windows_lost,
-            degraded=verdict.degraded,
+            truth=job.is_malware,
+            readings=readings,
+            scores=scores,
+            elapsed=elapsed,
             attempts=attempts,
-            detection_latency_windows=detection_latency_windows(
-                verdict.window_flags, self.vote_threshold
-            ),
         )
-        if self.health is not None:
-            self.health.observe_verdict(
-                job.app.name,
-                is_malware=verdict.is_malware,
-                degraded=verdict.degraded,
-                n_windows=verdict.n_windows,
-                n_windows_lost=verdict.n_windows_lost,
-                retries=attempts - 1,
-            )
         return verdict
 
     # -- the fleet ------------------------------------------------------

@@ -17,10 +17,17 @@ at run time and is rejected outright.
 injected faults; a pristine single-execution verdict always reports
 full confidence with nothing lost, so serial and fleet verdicts stay
 bit-comparable.
+
+:func:`grade_trace` (sample + classify) and :class:`VerdictSink`
+(metrics, trace event, archive, health, quality) are the verdict path
+every driver shares: the monitor here, the fleet, and the streaming
+service differ only in how executions reach them.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from dataclasses import dataclass
 
@@ -35,6 +42,7 @@ from repro.obs import (
     FAST_LATENCY_BUCKETS,
     NULL_REGISTRY,
     NULL_TRACER,
+    ArchiveSink,
     HealthEvaluator,
     QualityTracker,
     Registry,
@@ -64,13 +72,13 @@ def validate_deployment(
         )
 
 
-def reduce_trace(
+def grade_trace(
     detector: HMDDetector,
     n_counters: int,
     trace: np.ndarray,
     register_file: CounterRegisterFile | None = None,
-) -> np.ndarray:
-    """Sample a raw 44-event trace down to the detector's feature windows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample a raw 44-event trace through a register file and grade it.
 
     Args:
         detector: fitted detector whose events are programmed.
@@ -81,35 +89,14 @@ def reduce_trace(
             pristine one is built when omitted.
 
     Returns:
-        Per-window counter readings ``(n_windows, n_monitored_events)``
-        — the exact matrix the detector classifies, and the matrix the
-        quality tracker profiles.
-    """
-    if register_file is None:
-        register_file = CounterRegisterFile(n_counters)
-    register_file.program(list(detector.monitored_events))
-    return sample_trace(register_file, trace, ALL_EVENTS)
-
-
-def classify_trace(
-    detector: HMDDetector,
-    n_counters: int,
-    trace: np.ndarray,
-    register_file: CounterRegisterFile | None = None,
-) -> np.ndarray:
-    """Sample a raw 44-event trace through a register file and classify it.
-
-    Args:
-        detector: fitted detector whose events are programmed.
-        n_counters: register-file capacity when ``register_file`` is None.
-        trace: array ``(n_windows, 44)`` of raw event activity.
-        register_file: optional pre-built register file (e.g. a
-            :class:`~repro.hpc.faults.GlitchyCounterRegisterFile`); a
-            pristine one is built when omitted.
-
-    Returns:
-        Per-window 0/1 flags.  An empty trace classifies to an empty
-        flag array without touching the registers.
+        ``(flags, readings, scores)``: per-window 0/1 flags, the counter
+        readings ``(n_windows, n_monitored_events)`` they were classified
+        from, and the graded malware scores.  Flags and scores come from
+        one probability pass
+        (:meth:`~repro.core.detector.HMDDetector.grade_windows`), so the
+        flags are bit-identical to ``predict_windows`` and the quality
+        tracker's inputs cost nothing extra.  An empty trace grades to
+        empty arrays.
 
     The whole trace goes through the classifier as one batch, so this
     hot path runs at the vectorized inference-kernel rates pinned by
@@ -117,52 +104,12 @@ def classify_trace(
     rule lists, stacked ensemble members) — never a per-window Python
     loop.
     """
-    if trace.shape[0] == 0:
-        return np.zeros(0, dtype=np.intp)
-    readings = reduce_trace(detector, n_counters, trace, register_file)
-    return detector.predict_windows(readings)
-
-
-def observe_execution_quality(
-    quality: QualityTracker,
-    detector: HMDDetector,
-    n_counters: int,
-    trace: np.ndarray,
-    verdict: "DetectionVerdict",
-    vote_threshold: float,
-    truth: bool,
-    host: str,
-    ts: float | None = None,
-    readings: np.ndarray | None = None,
-    scores: np.ndarray | None = None,
-) -> None:
-    """Feed one classified execution to a quality tracker.
-
-    Shared by :class:`RuntimeMonitor`, the fleet, and the serving stack
-    so all three score drift identically: the execution's reduced
-    windows are scored with the detector's graded outputs and handed to
-    the tracker along with the verdict's vote margin and the ground
-    truth that calibrates the score bins.  Callers whose verdict path
-    already reduced the trace through a *pristine* register file (the
-    monitor, the serving workers) pass ``readings`` — and ``scores``
-    when they graded via :meth:`~repro.core.detector.HMDDetector.
-    grade_windows` — so nothing is computed twice; the fleet omits them
-    because its readings may have gone through a glitchy register file,
-    and glitched readings would make fault injection look like model
-    drift.  The tracker only observes — the verdict is already final.
-    """
-    if readings is None:
-        readings = reduce_trace(detector, n_counters, trace)
-    if scores is None:
-        scores = detector.decision_scores_windows(readings)
-    quality.observe_execution(
-        host,
-        readings,
-        scores,
-        margin=verdict.malware_fraction - vote_threshold,
-        truth=truth,
-        ts=ts,
-    )
+    if register_file is None:
+        register_file = CounterRegisterFile(n_counters)
+    register_file.program(list(detector.monitored_events))
+    readings = sample_trace(register_file, trace, ALL_EVENTS)
+    flags, scores = detector.grade_windows(readings)
+    return flags, readings, scores
 
 
 def detection_latency_windows(
@@ -286,6 +233,164 @@ class DetectionVerdict:
         return self.n_windows + self.n_windows_lost
 
 
+#: Name and help of each verdict source's per-execution counter (the
+#: names predate the shared sink and stay stable for dashboards).
+_EXECUTION_COUNTERS = {
+    "monitor": ("monitor_apps_total", "application executions monitored"),
+    "fleet": ("fleet_apps_total", "applications monitored by the fleet"),
+    "serve": ("serve_executions_total", "executions streamed to a verdict"),
+}
+
+
+class VerdictSink:
+    """The one place a driver's verdict fans out to its observers.
+
+    :class:`RuntimeMonitor`, :class:`~repro.core.fleet.FleetMonitor` and
+    :class:`~repro.serve.service.DetectionService` each hand every final
+    verdict to :meth:`emit`, which updates the ``<source>_*`` metrics,
+    records one ``<source>.verdict`` trace event (the same field set for
+    every source), and feeds the optional archive sink, health evaluator
+    and quality tracker.  Observers never alter the verdict.
+
+    Args:
+        source: ``"monitor"``, ``"fleet"`` or ``"serve"``; names the
+            trace event and the metrics.
+        vote_threshold: the deployment's alarm quorum (detection latency
+            and the quality tracker's vote margin are relative to it).
+        tracer / metrics: the driver's tracer and registry.
+        health: optional :class:`~repro.obs.HealthEvaluator`.
+        quality: optional :class:`~repro.obs.QualityTracker`.
+        archive: optional :class:`~repro.obs.archive.ArchiveSink`; it
+            gets the same timestamp as the trace event, so a run
+            archived live dedupes against re-ingesting its own trace.
+
+    :meth:`emit` is thread-safe (the fleet and the service emit from
+    worker threads): one lock guards the sink's instruments, and the
+    trackers lock themselves.
+    """
+
+    def __init__(
+        self,
+        source: str,
+        vote_threshold: float,
+        tracer: Tracer,
+        metrics: Registry,
+        health: HealthEvaluator | None,
+        quality: QualityTracker | None,
+        archive: ArchiveSink | None = None,
+    ) -> None:
+        self.event_name = f"{source}.verdict"
+        self.vote_threshold = vote_threshold
+        self.tracer = tracer
+        self.health = health
+        self.quality = quality
+        self.archive = archive
+        self._lock = threading.Lock()
+        self._c_executions = metrics.counter(*_EXECUTION_COUNTERS[source])
+        self._c_windows = metrics.counter(
+            f"{source}_windows_total", "sampling windows classified"
+        )
+        self._c_alarms = metrics.counter(
+            f"{source}_alarms_total", "application-level malware alarms raised"
+        )
+        self._h_classify = metrics.histogram(
+            f"{source}_window_classify_seconds",
+            "per-window classification latency (amortized over each "
+            "execution's batch)",
+            buckets=FAST_LATENCY_BUCKETS,
+        )
+
+    def emit(
+        self,
+        verdict: DetectionVerdict,
+        *,
+        host: str,
+        index: int,
+        truth: bool,
+        readings: np.ndarray,
+        scores: np.ndarray,
+        elapsed: float | None = None,
+        attempts: int = 1,
+    ) -> int | None:
+        """Publish one final verdict; returns its detection latency.
+
+        Args:
+            verdict: the execution's verdict.
+            host: host identity (the application name outside serve).
+            index: the execution's index in its run.
+            truth: ground truth, used only to calibrate quality scores.
+            readings / scores: the windows the verdict was graded from
+                (:func:`grade_trace`), for the quality tracker.
+            elapsed: classification wall time of the verdict's batch;
+                None when the verdict is not a latency observation
+                (the fleet's salvage classifications).
+            attempts: monitoring attempts the verdict took.
+        """
+        n = verdict.n_windows
+        latency = detection_latency_windows(
+            verdict.window_flags, self.vote_threshold
+        )
+        per_window = elapsed / n if elapsed is not None and n else None
+        with self._lock:
+            self._c_executions.inc()
+            self._c_windows.inc(n)
+            if verdict.is_malware:
+                self._c_alarms.inc()
+            if per_window is not None:
+                # The detector classifies the batch vectorized; the
+                # honest per-window figure is its amortized share.
+                self._h_classify.observe_many(per_window, n)
+        ts = time.time()
+        self.tracer.event(
+            self.event_name,
+            ts=ts,
+            app=verdict.app_name,
+            host=host,
+            index=index,
+            is_malware=verdict.is_malware,
+            malware_fraction=verdict.malware_fraction,
+            confidence=verdict.confidence,
+            n_windows=n,
+            n_windows_lost=verdict.n_windows_lost,
+            degraded=verdict.degraded,
+            attempts=attempts,
+            detection_latency_windows=latency,
+        )
+        if self.archive is not None:
+            self.archive.observe_verdict(
+                ts=ts,
+                host=host,
+                app=verdict.app_name,
+                execution=index,
+                is_malware=verdict.is_malware,
+                malware_fraction=verdict.malware_fraction,
+                n_windows=n,
+                n_windows_lost=verdict.n_windows_lost,
+                degraded=verdict.degraded,
+                latency=latency,
+            )
+        if self.health is not None:
+            if per_window is not None:
+                self.health.observe_classify(per_window, n)
+            self.health.observe_verdict(
+                verdict.app_name,
+                is_malware=verdict.is_malware,
+                degraded=verdict.degraded,
+                n_windows=n,
+                n_windows_lost=verdict.n_windows_lost,
+                retries=attempts - 1,
+            )
+        if self.quality is not None:
+            self.quality.observe_execution(
+                host,
+                readings,
+                scores,
+                margin=verdict.malware_fraction - self.vote_threshold,
+                truth=truth,
+            )
+        return latency
+
+
 class RuntimeMonitor:
     """Streams HPC windows of a live execution through a detector.
 
@@ -300,7 +405,8 @@ class RuntimeMonitor:
         tracer: optional :class:`~repro.obs.Tracer`; every monitored
             execution records ``monitor.app`` / ``monitor.execute`` /
             ``monitor.classify`` spans and one ``monitor.verdict``
-            stream event.
+            stream event (:class:`VerdictSink`'s field set; ``index``
+            counts this monitor's executions from 0).
         metrics: optional :class:`~repro.obs.Registry` exposing the
             paper's run-time quantities: a per-window classification
             latency histogram (amortized over the vectorized batch) and
@@ -336,25 +442,15 @@ class RuntimeMonitor:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.health = health
         self.quality = quality
-        self._h_classify = self.metrics.histogram(
-            "monitor_window_classify_seconds",
-            "per-window classification latency (amortized over the batch)",
-            buckets=FAST_LATENCY_BUCKETS,
+        self.sink = VerdictSink(
+            "monitor", vote_threshold, self.tracer, self.metrics, health, quality
         )
         self._g_latency = self.metrics.gauge(
             "monitor_detection_latency_windows",
             "windows until the last monitored app crossed the alarm "
             "threshold (-1 = never crossed)",
         )
-        self._c_windows = self.metrics.counter(
-            "monitor_windows_total", "sampling windows classified"
-        )
-        self._c_apps = self.metrics.counter(
-            "monitor_apps_total", "application executions monitored"
-        )
-        self._c_alarms = self.metrics.counter(
-            "monitor_alarms_total", "application-level malware alarms raised"
-        )
+        self._executions = itertools.count()
 
     def monitor(
         self,
@@ -376,54 +472,23 @@ class RuntimeMonitor:
                 )
             with self.tracer.span("monitor.classify", app=app.name):
                 start = time.perf_counter()
-                readings = scores = None
-                if self.quality is None or trace.shape[0] == 0:
-                    flags = classify_trace(self.detector, self.n_counters, trace)
-                else:
-                    # One reduce + one probability pass serves both the
-                    # verdict and the drift scorer; flags stay
-                    # bit-identical to the quality=None classify path.
-                    readings = reduce_trace(self.detector, self.n_counters, trace)
-                    flags, scores = self.detector.grade_windows(readings)
+                flags, readings, scores = grade_trace(
+                    self.detector, self.n_counters, trace
+                )
                 elapsed = time.perf_counter() - start
             verdict = DetectionVerdict.from_flags(
                 app.name, flags, self.vote_threshold
             )
-        n = int(flags.size)
-        self._c_windows.inc(n)
-        if n:
-            # The detector classifies the batch vectorized; the honest
-            # per-window figure is the amortized share of that batch.
-            self._h_classify.observe_many(elapsed / n, n)
-        latency = self.detection_latency_windows(verdict)
-        self._g_latency.set(-1 if latency is None else latency)
-        self._c_apps.inc()
-        if verdict.is_malware:
-            self._c_alarms.inc()
-        self.tracer.event(
-            "monitor.verdict",
-            app=app.name,
-            is_malware=verdict.is_malware,
-            malware_fraction=verdict.malware_fraction,
-            n_windows=verdict.n_windows,
-            detection_latency_windows=latency,
+        latency = self.sink.emit(
+            verdict,
+            host=app.name,
+            index=next(self._executions),
+            truth=is_malware,
+            readings=readings,
+            scores=scores,
+            elapsed=elapsed,
         )
-        if self.health is not None:
-            if n:
-                self.health.observe_classify(elapsed / n, n)
-            self.health.observe_verdict(
-                app.name,
-                is_malware=verdict.is_malware,
-                degraded=verdict.degraded,
-                n_windows=verdict.n_windows,
-                n_windows_lost=verdict.n_windows_lost,
-            )
-        if self.quality is not None:
-            observe_execution_quality(
-                self.quality, self.detector, self.n_counters, trace,
-                verdict, self.vote_threshold, is_malware, app.name,
-                readings=readings, scores=scores,
-            )
+        self._g_latency.set(-1 if latency is None else latency)
         return verdict
 
     def detection_latency_windows(self, verdict: DetectionVerdict) -> int | None:

@@ -15,9 +15,10 @@ report pipeline of per-host counter aggregators like TACC Stats:
   run reproduces the same ID and is a **no-op** (idempotent manifest),
   and a live-archived run deduplicates against a later re-ingest of the
   trace file it dumped (paired with its metrics snapshot, since the
-  snapshot is part of the addressed content).  All writes are atomic (tempfile +
-  ``os.replace``), so a crash mid-ingest leaves the previous archive
-  state intact, never a truncated segment or manifest.
+  snapshot is part of the addressed content).  All writes go through
+  :mod:`repro.ioutil` (temp file, fsync, ``os.replace``), so a crash
+  mid-ingest leaves the previous archive state intact, never a
+  truncated segment or manifest.
 * :func:`normalize_events` — turns ``serve.verdict`` / ``fleet.verdict``
   / ``monitor.verdict`` / ``serve.alert`` / ``health.alert`` trace
   events and span events into the archive's normalized record schema.
@@ -34,17 +35,16 @@ live in :mod:`repro.obs.rollup`.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
+import io
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.obs.trace import load_trace
 
 #: Schema tag of the archive layout (bump on incompatible change).
@@ -130,8 +130,9 @@ def normalize_events(events: list[dict]) -> tuple[list[dict], list[dict], list[d
     """Split raw trace events into (verdicts, alerts, spans) records.
 
     Verdict events (``serve.verdict`` / ``fleet.verdict`` /
-    ``monitor.verdict``) become verdict rows; ``monitor.verdict`` events
-    carry no execution index, so they are numbered in stream order.
+    ``monitor.verdict``) become verdict rows; an event without an
+    execution index (``monitor.verdict`` in traces written before every
+    driver shared one verdict schema) is numbered in stream order.
     ``serve.alert`` host-vote trips, ``health.alert`` / ``quality.alert``
     rule transitions, and per-execution ``quality.drift`` observations
     (archived under :data:`DRIFT_RULE` with their worst per-feature PSI
@@ -335,20 +336,11 @@ class SegmentData:
         return float(self.spans["dur"][names == name].sum())
 
 
-def _atomic_write_bytes(path: Path, write) -> None:
-    """Atomically materialize a file via ``write(handle)`` + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            write(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+def _segment_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+    """Compressed npz bytes of one segment's columns."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
 
 
 def _build_segment_arrays(
@@ -428,10 +420,10 @@ class IngestResult:
 class ArchiveSink:
     """Live verdict/alert buffer for the service's archive hook.
 
-    :class:`~repro.serve.service.DetectionService` calls
-    :meth:`observe_verdict` / :meth:`observe_alert` on its verdict path
-    (they only append to lists under the caller's emission path, and the
-    service already serializes verdict emission per execution), so a
+    :class:`~repro.serve.service.DetectionService` feeds it verdicts
+    through its :class:`~repro.core.runtime.VerdictSink` and host alerts
+    directly (:meth:`observe_verdict` / :meth:`observe_alert` only append
+    to lists, and the service emits each execution's verdict once), so a
     service run can be archived with :meth:`ingest_into` even when
     tracing is disabled.  Records use the same normalized schema as
     :func:`normalize_events`, so a run archived live and the same run
@@ -570,7 +562,7 @@ class Archive:
                     path=path,
                 )
         arrays = _build_segment_arrays(verdicts, alerts, spans, snapshot)
-        _atomic_write_bytes(path, lambda fh: np.savez_compressed(fh, **arrays))
+        atomic_write_bytes(path, _segment_bytes(arrays))
         all_ts = (
             [v["ts"] for v in verdicts]
             + [a["ts"] for a in alerts]
@@ -592,8 +584,7 @@ class Archive:
         }
         manifest = self.manifest()
         manifest["segments"].append(entry)
-        text = json.dumps(manifest, indent=1).encode()
-        _atomic_write_bytes(self.manifest_path, lambda fh: fh.write(text))
+        atomic_write_text(self.manifest_path, json.dumps(manifest, indent=1))
         return IngestResult(
             segment_id=segment_id,
             ingested=True,

@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import Callable, ClassVar, TextIO
 
 from repro.ioutil import atomic_write_text, to_jsonable
+from repro.obs.archive import VERDICT_EVENTS
 from repro.obs.metrics import FAST_LATENCY_BUCKETS, NULL_REGISTRY, Registry
 from repro.obs.stats import histogram_quantile
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -586,10 +587,6 @@ def parse_slo(spec: str) -> SLO:
     )
 
 
-#: Trace event names the evaluator recognizes as verdict streams.
-_VERDICT_EVENTS = ("fleet.verdict", "monitor.verdict", "serve.verdict")
-
-
 class HealthEvaluator:
     """Evaluates alert rules and SLOs over a live verdict stream.
 
@@ -687,7 +684,7 @@ class HealthEvaluator:
         (spans, matrix cells) is ignored so a whole trace file can be
         streamed through without filtering.
         """
-        if event.get("type") != "event" or event.get("name") not in _VERDICT_EVENTS:
+        if event.get("type") != "event" or event.get("name") not in VERDICT_EVENTS:
             return False
         attrs = event.get("attrs", {})
         self.observe_verdict(

@@ -31,6 +31,8 @@ import threading
 import time
 from pathlib import Path
 
+from repro.ioutil import atomic_write_text
+
 #: Schema tag written into dumped traces (bump on incompatible change).
 TRACE_SCHEMA_VERSION = 1
 
@@ -197,22 +199,26 @@ class Tracer:
         """Write the buffer as JSON Lines; returns the event count.
 
         Contract: with ``append=False`` (the default) an existing file
-        at ``path`` is **overwritten** — the file afterwards contains
-        exactly this buffer.  With ``append=True`` events are appended
-        after any existing content, so a long-running service that
-        periodically ``drain()``\\ s and dumps accumulates one growing
-        trace instead of losing earlier events.  Parent directories are
-        created either way; the buffer itself is left untouched (pair
-        with :meth:`drain` when appending to avoid duplicate lines).
+        at ``path`` is **replaced** atomically — the file afterwards
+        contains exactly this buffer, and a failure mid-dump leaves the
+        previous trace intact (:func:`repro.ioutil.atomic_write_text`).
+        With ``append=True`` events are appended after any existing
+        content, so a long-running service that periodically
+        ``drain()``\\ s and dumps accumulates one growing trace instead
+        of losing earlier events.  Parent directories are created either
+        way; the buffer itself is left untouched (pair with
+        :meth:`drain` when appending to avoid duplicate lines).
         """
         events = self.events
+        text = "".join(json.dumps(event, default=str) + "\n" for event in events)
         path = Path(path)
+        if not append:
+            atomic_write_text(path, text)
+            return len(events)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a" if append else "w") as handle:
-            for event in events:
-                handle.write(json.dumps(event, default=str))
-                handle.write("\n")
+        with open(path, "a") as handle:
+            handle.write(text)
         return len(events)
 
 

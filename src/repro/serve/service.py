@@ -14,8 +14,9 @@ over the bounded queue fabric in :mod:`repro.serve.bus`:
 * **sharded detector workers** each own the hosts that hash to their
   channel: they reassemble executions window by window, classify a
   closed window batch through the vectorized inference kernels
-  (:func:`~repro.core.runtime.classify_trace`), emit exactly one
-  :class:`~repro.core.runtime.DetectionVerdict` per closed execution,
+  (:func:`~repro.core.runtime.grade_trace`), emit exactly one
+  :class:`~repro.core.runtime.DetectionVerdict` per closed execution
+  through the shared :class:`~repro.core.runtime.VerdictSink`,
   and maintain a per-host sliding vote window across executions that
   raises ``serve.alert`` events when a host's recent windows trip the
   vote threshold;
@@ -71,10 +72,8 @@ import numpy as np
 from repro.core.detector import HMDDetector
 from repro.core.runtime import (
     DetectionVerdict,
-    classify_trace,
-    detection_latency_windows,
-    observe_execution_quality,
-    reduce_trace,
+    VerdictSink,
+    grade_trace,
     validate_deployment,
 )
 from repro.hpc.events import ALL_EVENTS
@@ -82,7 +81,6 @@ from repro.hpc.faults import ServiceFaultPlan, WorkerCrashError
 from repro.hpc.lxc import ContainerPool
 from repro.hpc.microarch import DEFAULT_WINDOW_MS, ApplicationBehavior
 from repro.obs import (
-    FAST_LATENCY_BUCKETS,
     NULL_REGISTRY,
     NULL_TRACER,
     HealthEvaluator,
@@ -275,16 +273,11 @@ class DetectionService:
         self.health = health
         self.archive_sink = archive_sink
         self.quality = quality
+        self.sink = VerdictSink(
+            "serve", vote_threshold, self.tracer, self.metrics, health, quality,
+            archive=archive_sink,
+        )
         self._metrics_lock = threading.Lock()
-        self._c_executions = self.metrics.counter(
-            "serve_executions_total", "executions streamed to a verdict"
-        )
-        self._c_windows = self.metrics.counter(
-            "serve_windows_total", "sampling windows classified by the service"
-        )
-        self._c_alarms = self.metrics.counter(
-            "serve_alarms_total", "execution-level malware alarms raised"
-        )
         self._c_host_alerts = self.metrics.counter(
             "serve_host_alerts_total", "per-host sliding-vote alerts raised"
         )
@@ -298,12 +291,6 @@ class DetectionService:
         self._c_backpressure = self.metrics.counter(
             "serve_backpressure_waits_total",
             "publishes that blocked on a full channel",
-        )
-        self._h_classify = self.metrics.histogram(
-            "serve_window_classify_seconds",
-            "per-window classification latency (amortized over each "
-            "closed window's batch)",
-            buckets=FAST_LATENCY_BUCKETS,
         )
 
     # -- producers ------------------------------------------------------
@@ -340,82 +327,6 @@ class DetectionService:
         if n_windows == 0:
             return np.zeros((0, len(ALL_EVENTS)))
         return np.stack([rows[seq] for seq in range(n_windows)])
-
-    def _emit_verdict(
-        self, state: _RunState, closed: WindowClosed, verdict: DetectionVerdict,
-        elapsed: float, trace: np.ndarray | None = None,
-        readings: np.ndarray | None = None, scores: np.ndarray | None = None,
-    ) -> None:
-        """Publish one verdict exactly once, no matter who computed it."""
-        with state.verdict_lock:
-            if closed.execution in state.verdicts:
-                return
-            state.verdicts[closed.execution] = verdict
-            remaining = len(state.records) - len(state.verdicts)
-        n = verdict.n_windows
-        with self._metrics_lock:
-            self._c_executions.inc()
-            self._c_windows.inc(n)
-            if verdict.is_malware:
-                self._c_alarms.inc()
-            if n:
-                self._h_classify.observe_many(elapsed / n, n)
-        latency = detection_latency_windows(
-            verdict.window_flags, self.vote_threshold
-        )
-        # One wall-clock read shared by the trace event and the archive
-        # sink: both records must carry the identical timestamp so a
-        # live-archived run dedupes against re-ingesting its own trace.
-        ts = time.time()
-        self.tracer.event(
-            "serve.verdict",
-            ts=ts,
-            app=verdict.app_name,
-            host=closed.host,
-            index=closed.execution,
-            is_malware=verdict.is_malware,
-            malware_fraction=verdict.malware_fraction,
-            n_windows=n,
-            n_windows_lost=verdict.n_windows_lost,
-            degraded=verdict.degraded,
-            detection_latency_windows=latency,
-        )
-        if self.archive_sink is not None:
-            self.archive_sink.observe_verdict(
-                ts=ts,
-                host=closed.host,
-                app=verdict.app_name,
-                execution=closed.execution,
-                is_malware=verdict.is_malware,
-                malware_fraction=verdict.malware_fraction,
-                n_windows=n,
-                n_windows_lost=verdict.n_windows_lost,
-                degraded=verdict.degraded,
-                latency=latency,
-            )
-        if self.health is not None:
-            if n:
-                self.health.observe_classify(elapsed / n, n)
-            self.health.observe_verdict(
-                verdict.app_name,
-                is_malware=verdict.is_malware,
-                degraded=verdict.degraded,
-                n_windows=n,
-                n_windows_lost=verdict.n_windows_lost,
-            )
-        if self.quality is not None and trace is not None:
-            # Inside the exactly-once guard above, so a ledger-recovery
-            # duplicate can never double-count drift evidence; shares
-            # the verdict's timestamp so replays score identically.
-            observe_execution_quality(
-                self.quality, self.detector, self.n_counters, trace,
-                verdict, self.vote_threshold,
-                state.records[closed.execution].job.is_malware,
-                closed.host, ts=ts, readings=readings, scores=scores,
-            )
-        self._observe_host(state, closed.host, closed.execution, verdict)
-        if remaining == 0:
-            state.done.set()
 
     def _observe_host(
         self, state: _RunState, host: str, execution: int,
@@ -475,26 +386,33 @@ class DetectionService:
             return
         trace = self._assemble(rows, closed.n_windows)
         start = time.perf_counter()
-        readings = scores = None
-        if self.quality is None or trace.shape[0] == 0:
-            flags = classify_trace(self.detector, self.n_counters, trace)
-        else:
-            # One reduce + one probability pass serves both the verdict
-            # and the drift scorer; flags stay bit-identical to the
-            # quality=None classify path (the ledger trace is pristine,
-            # so sharing the readings is sound here — unlike the fleet's
-            # possibly-glitched register file).
-            readings = reduce_trace(self.detector, self.n_counters, trace)
-            flags, scores = self.detector.grade_windows(readings)
+        flags, readings, scores = grade_trace(self.detector, self.n_counters, trace)
         elapsed = time.perf_counter() - start
         verdict = DetectionVerdict.from_flags(
             closed.app_name, flags, self.vote_threshold
         )
-        self._emit_verdict(
-            state, closed, verdict, elapsed, trace,
-            readings=readings, scores=scores,
-        )
         assembly.pop(closed.execution, None)
+        # Exactly once: check-and-set, since a ledger-recovery duplicate
+        # may have won the race since the check above.  The sink runs
+        # after it, so no duplicate can double-count a verdict or its
+        # drift evidence.
+        with state.verdict_lock:
+            if closed.execution in state.verdicts:
+                return
+            state.verdicts[closed.execution] = verdict
+            remaining = len(state.records) - len(state.verdicts)
+        self.sink.emit(
+            verdict,
+            host=closed.host,
+            index=closed.execution,
+            truth=state.records[closed.execution].job.is_malware,
+            readings=readings,
+            scores=scores,
+            elapsed=elapsed,
+        )
+        self._observe_host(state, closed.host, closed.execution, verdict)
+        if remaining == 0:
+            state.done.set()
 
     def _recover(
         self, state: _RunState, shard: int,

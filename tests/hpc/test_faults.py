@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hpc.counters import CounterRegisterFile
+from repro.hpc.counters import CounterRegisterFile, sample_trace
 from repro.hpc.events import ALL_EVENTS
 from repro.hpc.faults import (
     NO_FAULTS,
@@ -133,6 +133,26 @@ def test_glitchy_register_file_raises_at_configured_read():
     with pytest.raises(CounterReadGlitchError) as excinfo:
         glitchy.read()
     assert excinfo.value.windows_read == 2
+
+
+@pytest.mark.parametrize("glitch_read", [None, N_WINDOWS, N_WINDOWS + 3])
+def test_glitchy_reads_that_succeed_equal_pristine_reduction(app, glitch_read):
+    """A glitching register file either raises or reads pristine counts.
+
+    This is why the fleet can hand the readings of a successful
+    (possibly glitch-armed) attempt straight to the drift tracker: they
+    are exactly what a pristine register file would have sampled.
+    """
+    trace = ContainerPool(seed=4).run(app, N_WINDOWS, False)
+    events = list(ALL_EVENTS[:4])
+    plain = CounterRegisterFile(4)
+    plain.program(events)
+    glitchy = GlitchyCounterRegisterFile(4, glitch_read=glitch_read)
+    glitchy.program(events)
+    np.testing.assert_array_equal(
+        sample_trace(glitchy, trace, ALL_EVENTS),
+        sample_trace(plain, trace, ALL_EVENTS),
+    )
 
 
 def test_fault_draw_defaults():

@@ -160,6 +160,52 @@ def test_dump_overwrites_by_default(tmp_path):
     assert event["name"] == "new"
 
 
+class _Unprintable:
+    """An attribute whose serialization fails partway through a dump."""
+
+    def __str__(self) -> str:
+        raise RuntimeError("serialization failed mid-dump")
+
+
+def _old_trace(path):
+    old = Tracer()
+    old.event("old-1")
+    old.event("old-2")
+    old.dump(path)
+    return path.read_text()
+
+
+def test_dump_failing_partway_keeps_previous_trace(tmp_path):
+    """A crash mid-dump must not destroy the trace already on disk."""
+    path = tmp_path / "trace.jsonl"
+    before = _old_trace(path)
+    tracer = Tracer()
+    tracer.event("new-1")
+    tracer.event("new-2", payload=_Unprintable())
+    with pytest.raises(RuntimeError, match="mid-dump"):
+        tracer.dump(path)
+    assert path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.jsonl"]
+
+
+def test_dump_failing_at_fsync_keeps_previous_trace(tmp_path, monkeypatch):
+    """The replace happens only after the new trace is durable."""
+    path = tmp_path / "trace.jsonl"
+    before = _old_trace(path)
+    tracer = Tracer()
+    tracer.event("new")
+
+    def failing_fsync(fd):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr("os.fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk gone"):
+        tracer.dump(path)
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.jsonl"]
+
+
 def test_dump_append_accumulates_earlier_events(tmp_path):
     """The periodic-dump pattern: drain + append never loses history."""
     path = tmp_path / "trace.jsonl"
