@@ -7,7 +7,8 @@ budget.  It measures three things:
 1. Wall-clock of every cell of the 16-HPC evaluation matrix (8 learners
    x general/boosted/bagging) through the vectorized fit paths AND
    through the retained scalar references (``repro.fitmode``), plus the
-   corpus build through both sampler paths.
+   corpus build on the shipped sampler and on the retired reference
+   paths (``tests.oracles.hpc.retired_hpc``).
 2. Bit-identical agreement between the two paths: every cell's fast- and
    scalar-fitted detectors must emit byte-equal probabilities and
    classes on the held-out split.  CI fails on any disagreement.
@@ -39,6 +40,7 @@ from repro import fitmode
 from repro.core.config import DetectorConfig
 from repro.core.detector import HMDDetector
 from repro.workloads import default_corpus
+from tests.oracles.hpc import retired_hpc
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 #: Training windows per fit (the full split holds 3400 at 40 w/app).
@@ -116,7 +118,7 @@ def test_fit_matrix_throughput_and_agreement(corpus, split):
     start = time.perf_counter()
     default_corpus(seed=3, windows_per_app=CORPUS_WINDOWS)
     corpus_fast = time.perf_counter() - start
-    with fitmode.scalar_fit():
+    with retired_hpc():
         start = time.perf_counter()
         default_corpus(seed=3, windows_per_app=CORPUS_WINDOWS)
         corpus_scalar = time.perf_counter() - start

@@ -20,7 +20,7 @@ Installed as ``repro-hmd``.  Subcommands:
 * ``report``   — fleet-wide roll-ups over the historical verdict archive.
 * ``replay``   — re-drive the detection service from archived traffic.
 
-``matrix``/``hardware``/``monitor``/``fleet``/``serve``/``crossval``
+``train``/``matrix``/``hardware``/``monitor``/``fleet``/``serve``/``crossval``
 accept ``--trace-out PATH`` (JSONL span/event trace) and
 ``--metrics-out PATH`` (JSON metrics snapshot); instrumentation is off
 — and free — unless one of them is given.

@@ -146,13 +146,79 @@ class CounterRegisterFile:
         for register in self.registers:
             register.release()
 
+    def sample_windows(self, counts: np.ndarray) -> np.ndarray:
+        """Latch a batch of sampling windows, one reading per window.
+
+        Equivalent to resetting the programmed registers, calling
+        :meth:`observe_window` and :meth:`read` once per window, but in
+        whole-batch array code: ``np.rint`` rounds half to even like
+        Python's ``round``, ``+ 0.0`` turns ``-0.0`` into ``0.0`` like
+        the ``int`` round trip, and readings saturate at the register
+        width.  Afterwards each register holds the last window's reading
+        and its ``overflowed`` flag is set if any window saturated.
+
+        A negative, NaN or infinite count raises the error
+        :meth:`CounterRegister.accumulate` raises for it (``ValueError``,
+        or ``OverflowError`` for ``+inf``), with the registers left as
+        the window-by-window walk leaves them at that count.
+
+        Args:
+            counts: array ``(n_windows, n_programmed)`` of raw activity
+                of the programmed events, in programming order.
+
+        Returns:
+            Array ``(n_windows, n_programmed)`` of readings.
+        """
+        registers = [r for r in self.registers if r.enabled and r.event is not None]
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.shape[0] == 0:
+            return np.zeros((0, len(registers)))
+        if counts.min() >= 0.0 and counts.max() != np.inf:
+            return _latch(registers, counts)
+        window, slot = first_invalid_count(counts)
+        head = counts[: window + 1].copy()
+        # Registers from the failing slot on were reset for this window
+        # and never accumulated.
+        head[window, slot:] = 0.0
+        _latch(registers, head)
+        registers[slot].accumulate(float(counts[window, slot]))  # raises
+        raise AssertionError("accumulate accepted an invalid count")
+
+
+#: Largest value a register holds, as an exactly representable float.
+_MAX_READING = float((1 << COUNTER_BITS) - 1)
+
+
+def first_invalid_count(counts: np.ndarray) -> tuple[int, int]:
+    """``(window, slot)`` of the first negative, NaN or infinite count.
+
+    Windows are scanned in order and slots in programming order within a
+    window, the order a window-by-window walk meets them.  ``counts``
+    must hold at least one invalid entry.
+    """
+    invalid = ~(counts >= 0.0) | (counts == np.inf)
+    return divmod(int(np.argmax(invalid)), counts.shape[1])
+
+
+def _latch(registers: list[CounterRegister], counts: np.ndarray) -> np.ndarray:
+    """Round, saturate and latch valid counts; return the readings."""
+    readings = np.rint(counts)
+    saturated = (readings > _MAX_READING).any(axis=0).tolist()
+    np.minimum(readings, _MAX_READING, out=readings)
+    readings += 0.0
+    for register, value, overflow in zip(registers, readings[-1].tolist(), saturated):
+        register.value = int(value)
+        if overflow:
+            register.overflowed = True
+    return readings
+
 
 def sample_trace(
     register_file: CounterRegisterFile,
     trace: np.ndarray,
     event_names: tuple[str, ...],
 ) -> np.ndarray:
-    """Run a synthesized trace through the register file window by window.
+    """Sample a synthesized trace through the register file.
 
     Args:
         register_file: programmed register file; only its bound events are
@@ -169,13 +235,4 @@ def sample_trace(
     if not programmed:
         raise CounterStateError("no events programmed")
     column = {name: i for i, name in enumerate(event_names)}
-    readings = np.zeros((trace.shape[0], len(programmed)))
-    for w in range(trace.shape[0]):
-        window_counts = {ev: float(trace[w, column[ev]]) for ev in programmed}
-        for register in register_file.registers:
-            if register.enabled:
-                register.value = 0
-        register_file.observe_window(window_counts)
-        row = register_file.read()
-        readings[w] = [row[ev] for ev in programmed]
-    return readings
+    return register_file.sample_windows(trace[:, [column[ev] for ev in programmed]])

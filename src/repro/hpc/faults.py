@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hpc.counters import CounterRegisterFile
+from repro.hpc.counters import CounterRegisterFile, first_invalid_count
 from repro.hpc.lxc import ContainerPool
 from repro.hpc.microarch import DEFAULT_WINDOW_MS, ApplicationBehavior
 
@@ -317,10 +317,11 @@ class GlitchyCounterRegisterFile(CounterRegisterFile):
     """Register file whose ``read()`` can suffer one transient glitch.
 
     Behaves exactly like :class:`~repro.hpc.counters.CounterRegisterFile`
-    except that the ``glitch_read``-th call to :meth:`read` raises
+    except that the ``glitch_read``-th read raises
     :class:`CounterReadGlitchError` instead of returning counts — the
     model of a transient MSR read failure.  Reads before the glitch are
-    valid; the error reports how many completed.
+    valid; the error reports how many completed.  Every window of
+    :meth:`sample_windows` is one read.
 
     Args:
         n_counters: register-file capacity.
@@ -332,12 +333,37 @@ class GlitchyCounterRegisterFile(CounterRegisterFile):
         self.glitch_read = glitch_read
         self.reads_completed = 0
 
+    def _glitch(self) -> CounterReadGlitchError:
+        return CounterReadGlitchError(
+            f"transient counter read failure at read {self.reads_completed}",
+            windows_read=self.reads_completed,
+        )
+
     def read(self) -> dict[str, int]:
         if self.glitch_read is not None and self.reads_completed == self.glitch_read:
-            raise CounterReadGlitchError(
-                f"transient counter read failure at read {self.reads_completed}",
-                windows_read=self.reads_completed,
-            )
+            raise self._glitch()
         counts = super().read()
         self.reads_completed += 1
         return counts
+
+    def sample_windows(self, counts: np.ndarray) -> np.ndarray:
+        """Sample like the pristine file, glitching at ``glitch_read``.
+
+        When the glitching read falls inside the batch, the windows up to
+        and including it are latched (the glitch strikes the read, after
+        the window was counted) and the reads before it complete.
+        """
+        start = self.reads_completed
+        glitch = self.glitch_read
+        glitches = glitch is not None and start <= glitch < start + len(counts)
+        batch = counts[: glitch - start + 1] if glitches else counts
+        try:
+            readings = super().sample_windows(batch)
+        except (ValueError, OverflowError):
+            self.reads_completed += first_invalid_count(np.asarray(batch, float))[0]
+            raise
+        if glitches:
+            self.reads_completed = glitch
+            raise self._glitch()
+        self.reads_completed += len(counts)
+        return readings

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import fitmode
 from repro.hpc.events import ALL_EVENTS
 
 #: Nominal core frequency of the modelled Xeon X5550.
@@ -89,44 +88,70 @@ class PhaseParameters:
         """Return a jittered copy modelling run-to-run variation.
 
         Every latent rate is scaled by an independent log-normal factor
-        ``exp(N(0, sigma))`` and clipped back to a sane range.  Used by the
-        execution context so that re-running an application (as the paper
-        does, 11 times per app) never reproduces identical counts.
+        ``exp(N(0, sigma))`` and clipped back to a sane range.  Corpus
+        families use it to derive distinct applications from one phase
+        template; :meth:`ApplicationBehavior.execute` applies the same
+        jitter to every phase at each run, so that re-running an
+        application (as the paper does, 11 times per app) never
+        reproduces identical counts.
 
         One batched ``rng.normal`` call draws all factors; the generator
         fills arrays from the same bit stream as repeated scalar draws,
-        so this consumes the stream exactly like the retained per-field
-        reference (:meth:`_perturbed_scalar`).
+        so this consumes the stream exactly like one draw per field.
         """
-        if fitmode.scalar_fit_enabled():
-            return self._perturbed_scalar(rng, sigma)
-        names = [f.name for f in dataclasses.fields(self) if f.name != "noise_sigma"]
-        factors = np.exp(rng.normal(0.0, sigma, size=len(names)))
-        values = np.array([getattr(self, name) for name in names])
-        # ipc and prefetch_intensity are counts-per-event, not
-        # probabilities; they may exceed 1.
-        ceilings = np.array(
-            [4.0 if name in ("ipc", "prefetch_intensity") else 1.0 for name in names]
-        )
-        clipped = np.clip(values * factors, 1e-6, ceilings)
-        fields = {name: float(v) for name, v in zip(names, clipped)}
-        fields["noise_sigma"] = self.noise_sigma
-        return PhaseParameters(**fields)
+        clipped = _perturb_rates(self.rates(), rng, sigma)
+        return PhaseParameters(*clipped.tolist(), noise_sigma=self.noise_sigma)
 
-    def _perturbed_scalar(
-        self, rng: np.random.Generator, sigma: float = 0.05
-    ) -> "PhaseParameters":
-        """Per-field jitter loop (differential reference for `perturbed`)."""
-        fields = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.name == "noise_sigma":
-                fields[field.name] = value
-                continue
-            factor = float(np.exp(rng.normal(0.0, sigma)))
-            ceiling = 4.0 if field.name in ("ipc", "prefetch_intensity") else 1.0
-            fields[field.name] = float(np.clip(value * factor, 1e-6, ceiling))
-        return PhaseParameters(**fields)
+    def rates(self) -> np.ndarray:
+        """The latent rates (every field but ``noise_sigma``) as an array."""
+        return np.array([getattr(self, name) for name in _RATE_FIELDS])
+
+
+#: The latent rates of :class:`PhaseParameters`, in field order.
+_RATE_FIELDS = tuple(
+    f.name for f in dataclasses.fields(PhaseParameters) if f.name != "noise_sigma"
+)
+#: Ceiling of each latent rate.  ipc and prefetch_intensity are
+#: counts-per-event, not probabilities; they may exceed 1.
+_RATE_CEILINGS = np.array(
+    [4.0 if name in ("ipc", "prefetch_intensity") else 1.0 for name in _RATE_FIELDS]
+)
+
+#: The jitter draws of one window, in draw order, each with its noise
+#: scale relative to the phase's ``noise_sigma``.
+_JITTER_SCALES = {
+    "cycles": 1.0, "instructions": 1.0,
+    "branches": 1.0, "branch_misses": 1.8, "branch_loads": 0.25,
+    "branch_load_misses": 1.0,
+    "loads": 1.0, "stores": 1.0,
+    "l1d_load_misses": 1.0, "l1d_store_misses": 1.0,
+    "l1d_prefetches": 3.0, "l1d_prefetch_misses": 3.0,
+    "l1i_loads": 1.0, "l1i_load_misses": 1.0,
+    "l1i_prefetches": 3.0, "l1i_prefetch_misses": 3.0,
+    "llc_loads": 1.0, "llc_load_misses": 1.0,
+    "llc_stores": 1.0, "llc_store_misses": 1.0,
+    "llc_prefetches": 3.0, "llc_prefetch_misses": 3.0,
+    "dtlb_loads": 1.0, "dtlb_load_misses": 1.0,
+    "dtlb_stores": 1.0, "dtlb_store_misses": 1.0,
+    "dtlb_prefetches": 3.0, "dtlb_prefetch_misses": 3.0,
+    "itlb_loads": 1.0, "itlb_load_misses": 1.0,
+    "node_loads": 1.0, "node_load_misses": 1.0,
+    "node_stores": 1.0, "node_store_misses": 1.0,
+    "node_prefetches": 3.0, "node_prefetch_misses": 3.0,
+    "mem_loads": 1.0, "mem_stores": 1.0,
+    "stalled_frontend": 1.0, "stalled_backend": 1.0,
+    "ref_cycles": 1.0, "bus_cycles": 1.0,
+}
+_N_JITTERS = len(_JITTER_SCALES)
+_SCALE_COLUMN = np.array(list(_JITTER_SCALES.values()))[:, None]
+
+
+def _perturb_rates(
+    rates: np.ndarray, rng: np.random.Generator, sigma: float
+) -> np.ndarray:
+    """Jitter rate rows ``(..., 19)`` by ``exp(N(0, sigma))``, clipped."""
+    factors = np.exp(rng.normal(0.0, sigma, size=rates.shape))
+    return np.clip(rates * factors, 1e-6, _RATE_CEILINGS)
 
 
 def synthesize_windows(
@@ -154,74 +179,124 @@ def synthesize_windows(
         raise ValueError(f"n_windows must be non-negative, got {n_windows}")
     if n_windows == 0:
         return np.zeros((0, len(ALL_EVENTS)))
+    noise = rng.standard_normal(_N_JITTERS * n_windows).reshape(_N_JITTERS, n_windows)
+    return _synthesize(
+        params.rates(), params.noise_sigma, noise, window_ms, frequency_hz
+    )
 
-    def jitter(shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
-        return np.exp(rng.normal(0.0, params.noise_sigma * scale, size=shape))
 
-    n = n_windows
-    cycles = frequency_hz * (window_ms / 1000.0) * params.utilization * jitter((n,))
-    instructions = cycles * params.ipc * jitter((n,))
+def _synthesize(
+    rates: np.ndarray,
+    noise_sigma: np.ndarray | float,
+    noise: np.ndarray,
+    window_ms: float,
+    frequency_hz: float,
+) -> np.ndarray:
+    """The synthesis kernel over whole traces.
 
-    branches = instructions * params.branch_ratio * jitter((n,))
+    Args:
+        rates: latent rates in :data:`_RATE_FIELDS` order, either
+            ``(19,)`` for one phase or ``(19, n_windows)`` per window.
+        noise_sigma: log-normal noise scale, scalar or per window.
+        noise: ``(42, n_windows)`` standard normals; row ``k`` feeds the
+            ``k``-th draw of :data:`_JITTER_SCALES`.
+        window_ms: sampling window length in milliseconds.
+        frequency_hz: modelled core frequency.
+
+    Returns:
+        Array ``(n_windows, 44)`` in ``ALL_EVENTS`` order.  Every
+        product keeps the left-to-right order of the per-phase model, so
+        a window's counts are bit-identical whichever way its parameters
+        and noise were laid out.
+    """
+    (
+        ipc,
+        utilization,
+        branch_ratio,
+        branch_mispred_rate,
+        bpu_miss_rate,
+        load_ratio,
+        store_ratio,
+        l1d_load_miss_rate,
+        l1d_store_miss_rate,
+        l1i_miss_rate,
+        llc_miss_rate,
+        dtlb_load_miss_rate,
+        dtlb_store_miss_rate,
+        itlb_miss_rate,
+        prefetch_intensity,
+        prefetch_miss_rate,
+        node_remote_ratio,
+        frontend_stall_frac,
+        backend_stall_frac,
+    ) = rates
+    # Log-normal factors exp(N(0, noise_sigma * scale)).  N(0, s) is
+    # 0 + s * z over the same stream, and exp(+-0) == 1.
+    jitter = dict(zip(_JITTER_SCALES, np.exp(noise_sigma * _SCALE_COLUMN * noise)))
+
+    cycles = frequency_hz * (window_ms / 1000.0) * utilization * jitter["cycles"]
+    instructions = cycles * ipc * jitter["instructions"]
+
+    branches = instructions * branch_ratio * jitter["branches"]
     # Misprediction counts are noisy (speculation depth varies window to
     # window); BPU lookups track retired branches almost deterministically.
-    branch_misses = branches * params.branch_mispred_rate * jitter((n,), 1.8)
-    branch_loads = branches * 1.05 * jitter((n,), 0.25)
-    branch_load_misses = branch_loads * params.bpu_miss_rate * jitter((n,))
+    branch_misses = branches * branch_mispred_rate * jitter["branch_misses"]
+    branch_loads = branches * 1.05 * jitter["branch_loads"]
+    branch_load_misses = branch_loads * bpu_miss_rate * jitter["branch_load_misses"]
 
-    loads = instructions * params.load_ratio * jitter((n,))
-    stores = instructions * params.store_ratio * jitter((n,))
+    loads = instructions * load_ratio * jitter["loads"]
+    stores = instructions * store_ratio * jitter["stores"]
 
-    l1d_load_misses = loads * params.l1d_load_miss_rate * jitter((n,))
-    l1d_store_misses = stores * params.l1d_store_miss_rate * jitter((n,))
-    l1d_prefetches = l1d_load_misses * params.prefetch_intensity * jitter((n,), 3.0)
-    l1d_prefetch_misses = l1d_prefetches * params.prefetch_miss_rate * jitter((n,), 3.0)
+    l1d_load_misses = loads * l1d_load_miss_rate * jitter["l1d_load_misses"]
+    l1d_store_misses = stores * l1d_store_miss_rate * jitter["l1d_store_misses"]
+    l1d_prefetches = l1d_load_misses * prefetch_intensity * jitter["l1d_prefetches"]
+    l1d_prefetch_misses = l1d_prefetches * prefetch_miss_rate * jitter["l1d_prefetch_misses"]
 
     # The front end fetches roughly one L1I access per issued instruction
     # bundle (4-wide on Nehalem), so fetches scale with instructions.
-    l1i_loads = instructions * 0.27 * jitter((n,))
-    l1i_load_misses = l1i_loads * params.l1i_miss_rate * jitter((n,))
-    l1i_prefetches = l1i_load_misses * 0.5 * jitter((n,), 3.0)
-    l1i_prefetch_misses = l1i_prefetches * params.prefetch_miss_rate * jitter((n,), 3.0)
+    l1i_loads = instructions * 0.27 * jitter["l1i_loads"]
+    l1i_load_misses = l1i_loads * l1i_miss_rate * jitter["l1i_load_misses"]
+    l1i_prefetches = l1i_load_misses * 0.5 * jitter["l1i_prefetches"]
+    l1i_prefetch_misses = l1i_prefetches * prefetch_miss_rate * jitter["l1i_prefetch_misses"]
 
     # LLC demand traffic is downstream of the L1 misses.
-    llc_loads = (l1d_load_misses + l1i_load_misses) * jitter((n,))
-    llc_load_misses = llc_loads * params.llc_miss_rate * jitter((n,))
-    llc_stores = l1d_store_misses * jitter((n,))
-    llc_store_misses = llc_stores * params.llc_miss_rate * 0.9 * jitter((n,))
-    llc_prefetches = (l1d_prefetch_misses + l1i_prefetch_misses) * jitter((n,), 3.0)
-    llc_prefetch_misses = llc_prefetches * params.prefetch_miss_rate * jitter((n,), 3.0)
+    llc_loads = (l1d_load_misses + l1i_load_misses) * jitter["llc_loads"]
+    llc_load_misses = llc_loads * llc_miss_rate * jitter["llc_load_misses"]
+    llc_stores = l1d_store_misses * jitter["llc_stores"]
+    llc_store_misses = llc_stores * llc_miss_rate * 0.9 * jitter["llc_store_misses"]
+    llc_prefetches = (l1d_prefetch_misses + l1i_prefetch_misses) * jitter["llc_prefetches"]
+    llc_prefetch_misses = llc_prefetches * prefetch_miss_rate * jitter["llc_prefetch_misses"]
 
     cache_references = llc_loads + llc_stores + llc_prefetches
     cache_misses = llc_load_misses + llc_store_misses + llc_prefetch_misses
 
-    dtlb_loads = loads * jitter((n,))
-    dtlb_load_misses = dtlb_loads * params.dtlb_load_miss_rate * jitter((n,))
-    dtlb_stores = stores * jitter((n,))
-    dtlb_store_misses = dtlb_stores * params.dtlb_store_miss_rate * jitter((n,))
-    dtlb_prefetches = l1d_prefetches * 0.8 * jitter((n,), 3.0)
-    dtlb_prefetch_misses = dtlb_prefetches * params.dtlb_load_miss_rate * jitter((n,), 3.0)
+    dtlb_loads = loads * jitter["dtlb_loads"]
+    dtlb_load_misses = dtlb_loads * dtlb_load_miss_rate * jitter["dtlb_load_misses"]
+    dtlb_stores = stores * jitter["dtlb_stores"]
+    dtlb_store_misses = dtlb_stores * dtlb_store_miss_rate * jitter["dtlb_store_misses"]
+    dtlb_prefetches = l1d_prefetches * 0.8 * jitter["dtlb_prefetches"]
+    dtlb_prefetch_misses = dtlb_prefetches * dtlb_load_miss_rate * jitter["dtlb_prefetch_misses"]
 
-    itlb_loads = l1i_loads * 0.5 * jitter((n,))
-    itlb_load_misses = itlb_loads * params.itlb_miss_rate * jitter((n,))
+    itlb_loads = l1i_loads * 0.5 * jitter["itlb_loads"]
+    itlb_load_misses = itlb_loads * itlb_miss_rate * jitter["itlb_load_misses"]
 
     # Memory-node traffic is what escapes the LLC, split by NUMA locality.
-    remote = params.node_remote_ratio
+    remote = node_remote_ratio
     memory_loads = llc_load_misses + llc_prefetch_misses
-    node_loads = memory_loads * (1.0 - remote) * jitter((n,))
-    node_load_misses = memory_loads * remote * jitter((n,))
-    node_stores = llc_store_misses * (1.0 - remote) * jitter((n,))
-    node_store_misses = llc_store_misses * remote * jitter((n,))
-    node_prefetches = llc_prefetch_misses * (1.0 - remote) * jitter((n,), 3.0)
-    node_prefetch_misses = llc_prefetch_misses * remote * 0.5 * jitter((n,), 3.0)
+    node_loads = memory_loads * (1.0 - remote) * jitter["node_loads"]
+    node_load_misses = memory_loads * remote * jitter["node_load_misses"]
+    node_stores = llc_store_misses * (1.0 - remote) * jitter["node_stores"]
+    node_store_misses = llc_store_misses * remote * jitter["node_store_misses"]
+    node_prefetches = llc_prefetch_misses * (1.0 - remote) * jitter["node_prefetches"]
+    node_prefetch_misses = llc_prefetch_misses * remote * 0.5 * jitter["node_prefetch_misses"]
 
-    mem_loads = memory_loads * jitter((n,))
-    mem_stores = llc_store_misses * jitter((n,))
+    mem_loads = memory_loads * jitter["mem_loads"]
+    mem_stores = llc_store_misses * jitter["mem_stores"]
 
-    stalled_frontend = cycles * params.frontend_stall_frac * jitter((n,))
-    stalled_backend = cycles * params.backend_stall_frac * jitter((n,))
-    ref_cycles = cycles * jitter((n,))
-    bus_cycles = cycles / 8.0 * jitter((n,))
+    stalled_frontend = cycles * frontend_stall_frac * jitter["stalled_frontend"]
+    stalled_backend = cycles * backend_stall_frac * jitter["stalled_backend"]
+    ref_cycles = cycles * jitter["ref_cycles"]
+    bus_cycles = cycles / 8.0 * jitter["bus_cycles"]
 
     columns = {
         "cpu_cycles": cycles,
@@ -317,28 +392,26 @@ class ApplicationBehavior:
         self.mean_dwell_windows = mean_dwell_windows
         total = sum(p.weight for p in self.phases)
         self._weights = np.array([p.weight / total for p in self.phases])
+        self._rates = np.array([mix.params.rates() for mix in self.phases])
+        self._noise_sigmas = np.array([mix.params.noise_sigma for mix in self.phases])
 
     def phase_schedule(self, n_windows: int, rng: np.random.Generator) -> np.ndarray:
         """Draw the per-window phase index sequence for one execution.
 
-        Both paths produce the same schedule from the same generator
-        state and leave the generator at the same stream position.  The
-        reference consumes the stream draw by draw — one ``rng.choice``
+        The model consumes the stream draw by draw: one ``rng.choice``
         to enter the first phase, one switch uniform per later window,
-        one more ``rng.choice`` at each switch.  The fast path draws a
+        one more ``rng.choice`` at each switch.  This draws a
         ``2 * n_windows`` buffer up front (the worst-case consumption),
         decodes it with the same comparisons (``Generator.choice`` with
         probabilities spends exactly one uniform, mapped through the
         weight CDF), then rewinds the generator and advances it by the
-        draws actually consumed.
+        draws actually consumed, so the schedule and the stream position
+        afterwards equal the draw-by-draw walk's.
 
-        An empty schedule consumes nothing on either path; previously a
-        phase was drawn even for zero windows.
+        An empty schedule consumes nothing.
         """
         if n_windows <= 0:
             return np.empty(0, dtype=np.intp)
-        if fitmode.scalar_fit_enabled():
-            return self._phase_schedule_scalar(n_windows, rng)
         from bisect import bisect_right
 
         state = rng.bit_generator.state
@@ -365,19 +438,6 @@ class ApplicationBehavior:
         rng.random(position)
         return schedule
 
-    def _phase_schedule_scalar(
-        self, n_windows: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw-by-draw schedule loop (differential reference)."""
-        schedule = np.empty(n_windows, dtype=np.intp)
-        switch_prob = 1.0 / self.mean_dwell_windows
-        current = int(rng.choice(len(self.phases), p=self._weights))
-        for i in range(n_windows):
-            if i > 0 and rng.random() < switch_prob:
-                current = int(rng.choice(len(self.phases), p=self._weights))
-            schedule[i] = current
-        return schedule
-
     def execute(
         self,
         n_windows: int,
@@ -391,17 +451,47 @@ class ApplicationBehavior:
         variation) and then walks the phase schedule, synthesizing every
         window from the active phase.
 
+        The random stream is consumed as if each phase were perturbed in
+        turn and each visited phase then synthesized its windows in one
+        :func:`synthesize_windows` call, in phase-index order; the draws
+        are taken in one call each and laid out per window instead.
+
         Returns:
             Array of shape ``(n_windows, 44)`` in ``ALL_EVENTS`` order.
         """
         if n_windows <= 0:
             raise ValueError(f"n_windows must be positive, got {n_windows}")
-        run_params = [mix.params.perturbed(rng, run_sigma) for mix in self.phases]
+        rates = _perturb_rates(self._rates, rng, run_sigma)
         schedule = self.phase_schedule(n_windows, rng)
-        trace = np.zeros((n_windows, len(ALL_EVENTS)))
-        for phase_idx in np.unique(schedule):
-            mask = schedule == phase_idx
-            trace[mask] = synthesize_windows(
-                run_params[phase_idx], int(mask.sum()), rng, window_ms=window_ms
-            )
-        return trace
+        noise = _window_noise(schedule, rng)
+        return _synthesize(
+            rates.T[:, schedule],
+            self._noise_sigmas[schedule],
+            noise,
+            window_ms,
+            DEFAULT_FREQUENCY_HZ,
+        )
+
+
+def _window_noise(schedule: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One standard-normal draw for a whole schedule, in window order.
+
+    The draw is consumed as consecutive per-phase blocks, in phase-index
+    order: a phase visited for ``n_p`` windows takes ``42 * n_p`` draws
+    laid out ``(42, n_p)``, the shape its own :func:`synthesize_windows`
+    call would draw.  The blocks are put side by side and their columns
+    gathered back to window order.
+
+    Returns:
+        Array ``(42, len(schedule))``; column ``w`` holds window ``w``'s
+        jitter draws.
+    """
+    n = schedule.size
+    draws = rng.standard_normal(_N_JITTERS * n)
+    sizes = np.bincount(schedule)
+    blocks = np.split(draws, np.cumsum(_N_JITTERS * sizes)[:-1])
+    grouped = np.concatenate([block.reshape(_N_JITTERS, -1) for block in blocks], axis=1)
+    # rank[w]: position of window w once windows are grouped by phase
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(schedule, kind="stable")] = np.arange(n)
+    return grouped[:, rank]
