@@ -25,6 +25,7 @@ from repro.core.runtime import (
     VerdictSink,
     detection_latency_windows,
     grade_trace,
+    grade_traces,
     validate_deployment,
 )
 from repro.core.specialized import SpecializedEnsembleDetector
@@ -54,5 +55,6 @@ __all__ = [
     "build_model",
     "detection_latency_windows",
     "grade_trace",
+    "grade_traces",
     "validate_deployment",
 ]

@@ -392,6 +392,10 @@ class ApplicationBehavior:
         self.mean_dwell_windows = mean_dwell_windows
         total = sum(p.weight for p in self.phases)
         self._weights = np.array([p.weight / total for p in self.phases])
+        # Generator.choice normalizes its CDF by the last element before
+        # the searchsorted lookup; phase_schedule replicates it exactly
+        self._cdf = np.cumsum(self._weights)
+        self._cdf /= self._cdf[-1]
         self._rates = np.array([mix.params.rates() for mix in self.phases])
         self._noise_sigmas = np.array([mix.params.noise_sigma for mix in self.phases])
 
@@ -408,34 +412,40 @@ class ApplicationBehavior:
         draws actually consumed, so the schedule and the stream position
         afterwards equal the draw-by-draw walk's.
 
+        The decode steps from phase switch to phase switch, not from
+        window to window: window ``i`` reads its switch uniform at buffer
+        position ``p``, and the next window reads ``p + 1``, or
+        ``p + 2`` after a switch (the choice uniform sits in between).
+        So from a window at position ``p`` every window up to the first
+        switching position ``q >= p`` stays in the current phase, and
+        the one at ``q`` switches.  A short execution pays for one array
+        comparison and a few switches, a long one no per-window Python.
+
         An empty schedule consumes nothing.
         """
         if n_windows <= 0:
             return np.empty(0, dtype=np.intp)
-        from bisect import bisect_right
-
         state = rng.bit_generator.state
-        buffer = rng.random(2 * n_windows).tolist()
-        # Generator.choice normalizes its CDF by the last element before
-        # the searchsorted lookup; replicate exactly
-        cdf_array = np.cumsum(self._weights)
-        cdf_array /= cdf_array[-1]
-        cdf = cdf_array.tolist()
-        last_index = len(self.phases) - 1
-        switch_prob = 1.0 / self.mean_dwell_windows
-        schedule = np.empty(n_windows, dtype=np.intp)
-        current = min(bisect_right(cdf, buffer[0]), last_index)
-        schedule[0] = current
-        position = 1
-        for i in range(1, n_windows):
-            switch = buffer[position] < switch_prob
-            position += 1
-            if switch:
-                current = min(bisect_right(cdf, buffer[position]), last_index)
-                position += 1
-            schedule[i] = current
+        buffer = rng.random(2 * n_windows)
+        at = [0]  # buffer position of each phase visit's choice uniform
+        lengths = []  # windows of each phase visit
+        start = 0
+        window = position = 1  # next window, and the position it reads
+        for q in np.flatnonzero(buffer < 1.0 / self.mean_dwell_windows).tolist():
+            if q < position:
+                continue  # position 0 or a choice uniform: not a switch draw
+            switch = window + q - position  # the window that reads q
+            if switch >= n_windows:
+                break
+            at.append(q + 1)
+            lengths.append(switch - start)
+            start, window, position = switch, switch + 1, q + 2
+        lengths.append(n_windows - start)
+        # uniforms are < 1.0 == cdf[-1], so every index names a phase
+        phases = self._cdf.searchsorted(buffer[at], side="right")
+        schedule = np.repeat(phases, lengths)
         rng.bit_generator.state = state
-        rng.random(position)
+        rng.random(position + n_windows - window)
         return schedule
 
     def execute(

@@ -1,15 +1,16 @@
 """Streaming detection service over a bounded in-process queue fabric.
 
 The long-running counterpart of the batch :mod:`repro.core.fleet`
-monitor: producers stream per-window HPC samples onto sharded bounded
-channels (:mod:`repro.serve.bus`) and detector workers consume them,
-classify closed windows through the vectorized inference kernels, and
-emit exactly one verdict per execution — including under injected
+monitor: producers stream frames of HPC sampling windows onto sharded
+bounded channels (:mod:`repro.serve.bus`) and detector workers drain
+them, classify every execution closed in a drained batch in one call to
+the vectorized inference kernels, and emit exactly one verdict per
+execution — including under injected
 worker crashes (:class:`~repro.hpc.faults.ServiceFaultPlan`), recovered
 from the producer-side ledger (:mod:`repro.serve.service`).
 """
 
-from repro.serve.bus import SHUTDOWN, Bus, Channel, WindowClosed, WindowSample
+from repro.serve.bus import SHUTDOWN, Bus, Channel, WindowClosed, WindowFrame
 from repro.serve.replay import (
     ReplayError,
     ReplayMismatchError,
@@ -32,7 +33,7 @@ __all__ = [
     "ServeJob",
     "ServiceReport",
     "WindowClosed",
-    "WindowSample",
+    "WindowFrame",
     "archived_wall_seconds",
     "build_serve_workload",
     "replay_segment",

@@ -14,7 +14,7 @@ under-consumes.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hpc.lxc import CONTAMINATION_SIGMA_STEP
@@ -45,13 +45,19 @@ def _both_paths(fast_call, ref_call, seed):
 
 
 # ------------------------------------------------------- phase schedule
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 100_000),
     n_phases=st.integers(1, 6),
-    n_windows=st.integers(1, 80),
-    mean_dwell=st.floats(1.0, 20.0, allow_nan=False),
+    n_windows=st.one_of(st.integers(1, 80), st.integers(81, 700)),
+    mean_dwell=st.one_of(
+        st.floats(1.0, 20.0, allow_nan=False), st.floats(1.0, 1.05), st.just(1e6)
+    ),
 )
+@example(seed=0, n_phases=3, n_windows=1, mean_dwell=8.0)
+@example(seed=1, n_phases=3, n_windows=640, mean_dwell=1.0)  # switch every window
+@example(seed=2, n_phases=1, n_windows=640, mean_dwell=1e6)  # never switch
+@example(seed=3, n_phases=4, n_windows=2, mean_dwell=1.0)
 def test_phase_schedule_matches_scalar(seed, n_phases, n_windows, mean_dwell):
     rng = np.random.default_rng(seed + 7)
     weights = rng.uniform(0.05, 1.0, size=n_phases)
