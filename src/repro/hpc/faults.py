@@ -250,9 +250,10 @@ class ServiceFaultPlan:
         """Messages this worker incarnation consumes before crashing.
 
         Returns None for a clean incarnation.  ``scale`` sets the draw
-        range (callers pass roughly the messages-per-execution so
-        crashes land mid-assembly, the interesting case); the result is
-        always >= 1, so every incarnation makes progress.
+        range, ``[1, scale]`` (callers pass roughly the
+        messages-per-execution so crashes land mid-assembly, the
+        interesting case); the result is always >= 1, so every
+        incarnation makes progress.
         """
         if worker_index < 0 or incarnation < 0:
             raise ValueError("worker_index and incarnation must be >= 0")
@@ -265,7 +266,7 @@ class ServiceFaultPlan:
         )
         if rng.random() >= self.worker_crash_rate:
             return None
-        return int(rng.integers(1, max(scale, 2)))
+        return int(rng.integers(1, max(scale, 1), endpoint=True))
 
 
 class FaultyContainerPool:

@@ -11,6 +11,8 @@ round), matching WEKA's behaviour.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.ml.base import (
@@ -19,11 +21,18 @@ from repro.ml.base import (
     check_features,
     check_training_set,
     pack_members,
+    proba_from_counts,
     unfitted_spec,
     unpack_members,
 )
+from repro.ml.tree import FlatForest
 
 _EPS = 1e-10
+
+
+def _member_class(counts: np.ndarray) -> np.ndarray:
+    """A flat-tree member's ``predict`` at each node: its leaf class."""
+    return (proba_from_counts(counts)[:, 1] >= 0.5).astype(np.intp)
 
 
 class AdaBoostM1(Classifier):
@@ -81,6 +90,7 @@ class AdaBoostM1(Classifier):
         dist = weights / weights.sum()
         rng = np.random.default_rng(self.seed)
         resample = self.use_resampling or not self.base.supports_sample_weight
+        self.__dict__.pop("_forest", None)  # fused from the old members
 
         self.estimators_ = []
         self.estimator_weights_ = []
@@ -121,11 +131,16 @@ class AdaBoostM1(Classifier):
         features = check_features(features)
         if not self.estimators_:
             return np.zeros((features.shape[0], 2))
-        # each member classifies the whole batch through its vectorized
-        # kernel; the stacked (n_members, n) prediction matrix is then
-        # reduced to weighted votes in one pass (outer-axis reduction is
-        # sequential in member order, bit-identical to the old loop)
-        stacked = np.stack([m.predict(features) for m in self.estimators_])
+        # the stacked (n_members, n) prediction matrix, from one fused
+        # descent of flat-tree members or from each member's batch
+        # kernel, is reduced to weighted votes in one pass (outer-axis
+        # reduction is sequential in member order, bit-identical to the
+        # old loop)
+        forest = self._forest
+        if forest is not None:
+            stacked = forest.leaf_values(features)
+        else:
+            stacked = np.stack([m.predict(features) for m in self.estimators_])
         alphas = np.asarray(self.estimator_weights_)[:, None]
         votes = np.stack(
             [
@@ -136,6 +151,13 @@ class AdaBoostM1(Classifier):
         )
         total = votes.sum(axis=1, keepdims=True)
         return votes / np.where(total > 0, total, 1.0)
+
+    @cached_property
+    def _forest(self) -> FlatForest | None:
+        """The members fused for inference (None unless every member is
+        a flat tree), built on first use.  Threads racing on the first
+        use at worst each build an equal forest, and either is kept."""
+        return FlatForest.of(self.estimators_, _member_class)
 
     # -- serialization ---------------------------------------------------
     def export_artifact(self) -> tuple[dict, dict[str, np.ndarray]]:

@@ -13,6 +13,8 @@ estimate (WEKA ``-O``).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.ml.base import (
@@ -21,9 +23,11 @@ from repro.ml.base import (
     check_features,
     check_training_set,
     pack_members,
+    proba_from_counts,
     unfitted_spec,
     unpack_members,
 )
+from repro.ml.tree import FlatForest
 
 
 class Bagging(Classifier):
@@ -83,6 +87,7 @@ class Bagging(Classifier):
         bag_size = max(int(round(self.bag_fraction * n)), 2)
         rng = np.random.default_rng(self.seed)
         dist = weights / weights.sum()
+        self.__dict__.pop("_forest", None)  # fused from the old members
 
         self.estimators_ = []
         oob_votes = np.zeros((n, 2))
@@ -109,11 +114,23 @@ class Bagging(Classifier):
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         self._require_fitted()
         features = check_features(features)
-        # stack the members' batch probabilities and average along the
-        # member axis (outer-axis reduction is sequential in member
-        # order, bit-identical to the old accumulation loop)
-        stacked = np.stack([m.predict_proba(features) for m in self.estimators_])
+        # stack the members' batch probabilities (one fused descent of
+        # flat-tree members) and average along the member axis
+        # (outer-axis reduction is sequential in member order,
+        # bit-identical to the old accumulation loop)
+        forest = self._forest
+        if forest is not None:
+            stacked = forest.leaf_values(features)
+        else:
+            stacked = np.stack([m.predict_proba(features) for m in self.estimators_])
         return stacked.sum(axis=0) / len(self.estimators_)
+
+    @cached_property
+    def _forest(self) -> FlatForest | None:
+        """The members fused for inference (None unless every member is
+        a flat tree), built on first use.  Threads racing on the first
+        use at worst each build an equal forest, and either is kept."""
+        return FlatForest.of(self.estimators_, proba_from_counts)
 
     # -- serialization ---------------------------------------------------
     def export_artifact(self) -> tuple[dict, dict[str, np.ndarray]]:

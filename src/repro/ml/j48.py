@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from repro.ml.base import Classifier, check_features, check_training_set, proba_from_counts
-from repro.ml.tree import FlatTree, TreeNode, grow_tree
+from repro.ml.base import check_training_set
+from repro.ml.tree import FlatTree, FlatTreeClassifier, TreeNode, grow_tree
 
 
 def _z_from_confidence(confidence: float) -> float:
@@ -64,7 +64,7 @@ def pessimistic_errors(n: float, errors: float, z: float) -> float:
     return n * bound
 
 
-class J48(Classifier):
+class J48(FlatTreeClassifier):
     """C4.5 decision tree with pessimistic-error pruning.
 
     Args:
@@ -95,8 +95,6 @@ class J48(Classifier):
             "min_instances": min_instances,
             "unpruned": unpruned,
         }
-        self.root_: TreeNode | None = None
-        self._flat: FlatTree | None = None
         self._z = _z_from_confidence(confidence)
 
     # ------------------------------------------------------------------
@@ -138,56 +136,3 @@ class J48(Classifier):
         self._flat = FlatTree(self.root_)
         self.fitted_ = True
         return self
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        features = check_features(features)
-        assert self._flat is not None
-        return proba_from_counts(self._flat.leaf_counts(features))
-
-    # -- serialization ---------------------------------------------------
-    def export_artifact(self) -> tuple[dict, dict[str, np.ndarray]]:
-        self._require_fitted()
-        assert self._flat is not None
-        flat = self._flat
-        return {"params": dict(self.params)}, {
-            "tree_attribute": flat.attribute,
-            "tree_threshold": flat.threshold,
-            "tree_left": flat.left,
-            "tree_right": flat.right,
-            "tree_counts": flat.counts,
-        }
-
-    @classmethod
-    def from_artifact(cls, spec: dict, arrays: dict) -> "J48":
-        model = cls(**spec["params"])
-        model._flat = FlatTree.from_arrays(
-            arrays["tree_attribute"],
-            arrays["tree_threshold"],
-            arrays["tree_left"],
-            arrays["tree_right"],
-            arrays["tree_counts"],
-        )
-        model.root_ = model._flat.nodes[0]
-        model.fitted_ = True
-        return model
-
-    # -- structure, for the hardware model and reports ------------------
-    @property
-    def tree_size(self) -> int:
-        """Total node count of the pruned tree."""
-        self._require_fitted()
-        assert self.root_ is not None
-        return self.root_.n_nodes()
-
-    @property
-    def n_leaves(self) -> int:
-        self._require_fitted()
-        assert self.root_ is not None
-        return self.root_.n_leaves()
-
-    @property
-    def depth(self) -> int:
-        self._require_fitted()
-        assert self.root_ is not None
-        return self.root_.depth()

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import Classifier, check_features, check_training_set, proba_from_counts
-from repro.ml.tree import FlatTree, TreeNode, grow_tree, route
+from repro.ml.base import check_training_set
+from repro.ml.tree import FlatTree, FlatTreeClassifier, TreeNode, grow_tree, route
 
 
-class REPTree(Classifier):
+class REPTree(FlatTreeClassifier):
     """Information-gain tree with reduced-error pruning.
 
     Args:
@@ -54,8 +54,6 @@ class REPTree(Classifier):
             "no_pruning": no_pruning,
             "seed": seed,
         }
-        self.root_: TreeNode | None = None
-        self._flat: FlatTree | None = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -143,59 +141,8 @@ class REPTree(Classifier):
         self.fitted_ = True
         return self
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        features = check_features(features)
-        assert self._flat is not None
-        return proba_from_counts(self._flat.leaf_counts(features))
-
-    # -- serialization ---------------------------------------------------
-    def export_artifact(self) -> tuple[dict, dict[str, np.ndarray]]:
-        self._require_fitted()
-        assert self._flat is not None
-        flat = self._flat
-        return {"params": dict(self.params)}, {
-            "tree_attribute": flat.attribute,
-            "tree_threshold": flat.threshold,
-            "tree_left": flat.left,
-            "tree_right": flat.right,
-            "tree_counts": flat.counts,
-        }
-
-    @classmethod
-    def from_artifact(cls, spec: dict, arrays: dict) -> "REPTree":
-        model = cls(**spec["params"])
-        model._flat = FlatTree.from_arrays(
-            arrays["tree_attribute"],
-            arrays["tree_threshold"],
-            arrays["tree_left"],
-            arrays["tree_right"],
-            arrays["tree_counts"],
-        )
-        model.root_ = model._flat.nodes[0]
-        model.fitted_ = True
-        return model
-
     def predict_leaf(self, row: np.ndarray) -> TreeNode:
         """Leaf node a single feature row routes to (for introspection)."""
         self._require_fitted()
         assert self.root_ is not None
         return route(self.root_, np.asarray(row, dtype=float))
-
-    @property
-    def tree_size(self) -> int:
-        self._require_fitted()
-        assert self.root_ is not None
-        return self.root_.n_nodes()
-
-    @property
-    def n_leaves(self) -> int:
-        self._require_fitted()
-        assert self.root_ is not None
-        return self.root_.n_leaves()
-
-    @property
-    def depth(self) -> int:
-        self._require_fitted()
-        assert self.root_ is not None
-        return self.root_.depth()

@@ -3,17 +3,20 @@
 Both of the paper's tree classifiers are top-down inducers over numeric
 attributes with binary threshold splits; they differ in split criterion
 (gain ratio vs. information gain) and pruning (C4.5 pessimistic error
-vs. reduced-error pruning).  This module provides the node structure and
-the vectorized split search they share.
+vs. reduced-error pruning).  This module provides the node structure, the
+vectorized split search, the array forms used for inference and the
+classifier base they share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import fitmode
+from repro.ml.base import Classifier, check_features, proba_from_counts
 
 _EPS = 1e-12
 
@@ -478,6 +481,155 @@ class FlatTree:
             )
             cur[active] = np.where(go_left, self.left[node], self.right[node])
         return acc
+
+
+class FlatForest:
+    """The member trees of an ensemble fused into one array forest.
+
+    The members' :class:`FlatTree` arrays are concatenated with child
+    indices offset, so ``roots[k]`` is member ``k``'s root, and each node
+    carries one precomputed entry of a leaf table (an AdaBoost member's
+    class, a Bagging member's probability row).  :meth:`leaf_values`
+    then descends every member × row pair in one level-synchronous loop
+    — max-depth iterations instead of one descent per member — with the
+    same ``value <= threshold`` comparison as :meth:`FlatTree.descend`,
+    so every leaf, and so every gathered table entry, is bit-identical
+    to the member-by-member path.  Concatenation copies the arrays, so a
+    forest over memory-mapped members descends plain arrays.
+
+    Nothing writes to a forest after construction, so threads share one
+    freely.
+    """
+
+    __slots__ = ("attribute", "threshold", "left", "right", "roots", "table")
+
+    def __init__(
+        self,
+        trees: Sequence[FlatTree],
+        leaf_table: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        """Fuse ``trees``; ``leaf_table`` maps the concatenated
+        ``(n_nodes, 2)`` class counts to one table entry per node."""
+        sizes = [tree.attribute.shape[0] for tree in trees]
+        roots = np.zeros(len(trees), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=roots[1:])
+        shift = np.repeat(roots, sizes)
+        self.attribute = np.concatenate([tree.attribute for tree in trees])
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        # leaves keep their -1 children; only real indices move
+        internal = self.attribute >= 0
+        self.left = np.concatenate([tree.left for tree in trees])
+        self.left[internal] += shift[internal]
+        self.right = np.concatenate([tree.right for tree in trees])
+        self.right[internal] += shift[internal]
+        self.roots = roots
+        self.table = leaf_table(np.concatenate([tree.counts for tree in trees]))
+
+    @classmethod
+    def of(
+        cls,
+        members: Sequence[Classifier],
+        leaf_table: Callable[[np.ndarray], np.ndarray],
+    ) -> "FlatForest | None":
+        """Forest of an ensemble's members, or None unless every member
+        is a fitted :class:`FlatTreeClassifier` (and there is one)."""
+        if not members or not all(
+            isinstance(member, FlatTreeClassifier) and member._flat is not None
+            for member in members
+        ):
+            return None
+        return cls([member._flat for member in members], leaf_table)
+
+    def descend(self, features: np.ndarray) -> np.ndarray:
+        """Flat index of the leaf each member × row pair lands in, shape
+        ``(n_members, n)``."""
+        n, n_cols = features.shape
+        flat = np.ascontiguousarray(features).reshape(-1)
+        cur = np.repeat(self.roots, n)
+        # flat offset of each pair's feature row, member-major like cur
+        row_start = np.tile(np.arange(n) * n_cols, self.roots.shape[0])
+        active = np.flatnonzero(self.attribute.take(cur) >= 0)
+        while active.size:
+            node = cur.take(active)
+            values = flat.take(row_start.take(active) + self.attribute.take(node))
+            go_left = values <= self.threshold.take(node)
+            nxt = np.where(go_left, self.left.take(node), self.right.take(node))
+            cur[active] = nxt
+            active = active[self.attribute.take(nxt) >= 0]
+        return cur.reshape(self.roots.shape[0], n)
+
+    def leaf_values(self, features: np.ndarray) -> np.ndarray:
+        """Leaf-table entry of every member × row pair: shape
+        ``(n_members, n) + table.shape[1:]``, C-contiguous, as
+        ``np.stack`` of the per-member results lays it out."""
+        return self.table[self.descend(features)]
+
+
+class FlatTreeClassifier(Classifier):
+    """A classifier whose fitted state is one :class:`FlatTree`.
+
+    Subclasses grow and prune a :class:`TreeNode` tree in :meth:`fit`
+    and keep its flat form in ``_flat``; prediction, artifact
+    round trips and the structure statistics are shared here.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root_: TreeNode | None = None
+        self._flat: FlatTree | None = None
+
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        self._require_fitted()
+        features = check_features(features)
+        assert self._flat is not None
+        return proba_from_counts(self._flat.leaf_counts(features))
+
+    # -- serialization ---------------------------------------------------
+    def export_artifact(self) -> tuple[dict, dict[str, np.ndarray]]:
+        self._require_fitted()
+        assert self._flat is not None
+        flat = self._flat
+        return {"params": dict(self.params)}, {
+            "tree_attribute": flat.attribute,
+            "tree_threshold": flat.threshold,
+            "tree_left": flat.left,
+            "tree_right": flat.right,
+            "tree_counts": flat.counts,
+        }
+
+    @classmethod
+    def from_artifact(cls, spec: dict, arrays: dict) -> "FlatTreeClassifier":
+        model = cls(**spec["params"])
+        model._flat = FlatTree.from_arrays(
+            arrays["tree_attribute"],
+            arrays["tree_threshold"],
+            arrays["tree_left"],
+            arrays["tree_right"],
+            arrays["tree_counts"],
+        )
+        model.root_ = model._flat.nodes[0]
+        model.fitted_ = True
+        return model
+
+    # -- structure, for the hardware model and reports ------------------
+    @property
+    def tree_size(self) -> int:
+        """Total node count of the fitted tree."""
+        self._require_fitted()
+        assert self.root_ is not None
+        return self.root_.n_nodes()
+
+    @property
+    def n_leaves(self) -> int:
+        self._require_fitted()
+        assert self.root_ is not None
+        return self.root_.n_leaves()
+
+    @property
+    def depth(self) -> int:
+        self._require_fitted()
+        assert self.root_ is not None
+        return self.root_.depth()
 
 
 def leaf_counts_matrix(node: TreeNode, features: np.ndarray) -> np.ndarray:

@@ -126,7 +126,8 @@ class _ExecutionRecord:
     ``trace`` is set (complete) before the frame is published and
     ``closed`` is set before the close marker is published, so a
     recovering worker reading the ledger always sees at least as much
-    as was ever on the wire.
+    as was ever on the wire.  ``trace`` is dropped once the execution's
+    verdict is recorded: recovery only replays unverdicted executions.
     """
 
     index: int
@@ -399,6 +400,7 @@ class DetectionService:
                 if closed.execution in state.verdicts:
                     continue
                 state.verdicts[closed.execution] = verdict
+                state.records[closed.execution].trace = None
                 remaining = len(state.records) - len(state.verdicts)
             self.sink.emit(
                 verdict,

@@ -209,3 +209,14 @@ def test_service_fault_plan_draws_make_progress():
         for scale in (1, 2, 64):
             draw = plan.crash_after(worker, 0, scale=scale)
             assert draw is not None and draw >= 1
+
+
+def test_service_fault_plan_draws_cover_the_whole_scale():
+    """A draw lands anywhere in ``[1, scale]``: at the service's scale
+    of 2 (a frame and its close) a crash can follow either message."""
+    draws = {
+        ServiceFaultPlan(seed=seed, worker_crash_rate=1.0).crash_after(0, 0, scale=2)
+        for seed in range(32)
+    }
+    assert draws == {1, 2}
+    assert ServiceFaultPlan(seed=0, worker_crash_rate=1.0).crash_after(0, 0, scale=1) == 1

@@ -222,6 +222,32 @@ def test_tiny_queue_backpressures_but_stays_correct(
     assert report.backpressure_waits > 0
 
 
+@pytest.mark.parametrize("faults", [None, ServiceFaultPlan(seed=1, worker_crash_rate=1.0)])
+def test_ledger_drops_each_trace_once_its_verdict_is_recorded(
+    detector4, jobs, serial_verdicts, monkeypatch, faults
+):
+    """The ledger keeps an execution's raw trace only until its verdict
+    is recorded, so a long run does not hold every trace it streamed;
+    recovery after a crash still regrades everything unverdicted."""
+    states = []
+
+    class Recorded(_RunState):
+        def __init__(self, records, bus):
+            super().__init__(records, bus)
+            states.append(self)
+
+    monkeypatch.setattr("repro.serve.service._RunState", Recorded)
+    service = DetectionService(
+        detector4, workers=2, queue_depth=4, pool_seed=POOL_SEED, faults=faults
+    )
+    report = service.run(jobs)
+    assert list(report.verdicts) == serial_verdicts
+    (state,) = states
+    assert [record.trace for record in state.records] == [None] * len(jobs)
+    if faults is not None:
+        assert report.worker_crashes > 0
+
+
 # -- drain-batching: one classify call per drained batch ----------------
 
 
