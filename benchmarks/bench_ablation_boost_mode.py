@@ -7,7 +7,7 @@ learners at the 2-HPC budget.
 """
 
 from repro.core.config import DetectorConfig
-from repro.core.registry import build_base_classifier
+from repro.core.config import build_base_classifier
 from repro.features.reduction import FeatureReducer
 from repro.ml.ensemble.adaboost import AdaBoostM1
 from repro.ml.metrics import evaluate_detector

@@ -8,7 +8,7 @@ OOB-learned member weights beat uniform voting?
 
 from repro.core.config import DetectorConfig
 from repro.core.detector import HMDDetector
-from repro.core.registry import build_base_classifier
+from repro.core.config import build_base_classifier
 from repro.features.reduction import FeatureReducer
 from repro.ml.ensemble.voting import VotingEnsemble
 from repro.ml.metrics import evaluate_detector

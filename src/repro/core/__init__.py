@@ -8,9 +8,10 @@ from repro.core.config import (
     GENERAL,
     HPC_BUDGETS,
     DetectorConfig,
+    build_base_classifier,
+    build_model,
 )
 from repro.core.detector import HMDDetector
-from repro.core.registry import build_base_classifier, build_model
 from repro.core.policies import (
     AlarmPolicy,
     ConsecutiveWindows,

@@ -2,13 +2,29 @@
 
 The paper's design space is the cross product
 ``{8 base classifiers} x {general, AdaBoost, Bagging} x {16, 8, 4, 2 HPCs}``.
-A :class:`DetectorConfig` names one point of that space; the registry
-(:mod:`repro.core.registry`) turns it into a trainable model.
+A :class:`DetectorConfig` names one point of that space; :func:`build_model`
+turns it into a trainable model, with every base learner's
+hyper-parameters (WEKA defaults, per paper §3.3) in
+:func:`build_base_classifier`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.ml import (
+    MLP,
+    SGD,
+    SMO,
+    AdaBoostM1,
+    Bagging,
+    BayesNet,
+    Classifier,
+    J48,
+    JRip,
+    OneR,
+    REPTree,
+)
 
 #: Ensemble modes studied by the paper.
 GENERAL, BOOSTED, BAGGING = "general", "boosted", "bagging"
@@ -83,3 +99,30 @@ class DetectorConfig:
             feature_method=self.feature_method,
             seed=self.seed,
         )
+
+
+def build_base_classifier(name: str, seed: int = 0) -> Classifier:
+    """Instantiate a base learner with the framework's default settings."""
+    factories = {
+        "BayesNet": lambda: BayesNet(),
+        "J48": lambda: J48(),
+        "JRip": lambda: JRip(seed=seed + 1),
+        "MLP": lambda: MLP(seed=seed),
+        "OneR": lambda: OneR(),
+        "REPTree": lambda: REPTree(seed=seed + 1),
+        "SGD": lambda: SGD(epochs=120, seed=seed),
+        "SMO": lambda: SMO(seed=seed),
+    }
+    if name not in factories:
+        raise KeyError(f"unknown classifier {name!r}; choose from {sorted(factories)}")
+    return factories[name]()
+
+
+def build_model(config: DetectorConfig) -> Classifier:
+    """Build the (possibly ensemble-wrapped) model for one config."""
+    base = build_base_classifier(config.classifier, seed=config.seed)
+    if config.ensemble == BOOSTED:
+        return AdaBoostM1(base, n_estimators=config.n_estimators, seed=config.seed)
+    if config.ensemble == BAGGING:
+        return Bagging(base, n_estimators=config.n_estimators, seed=config.seed)
+    return base

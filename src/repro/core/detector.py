@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import DetectorConfig
-from repro.core.registry import build_model
+from repro.core.config import DetectorConfig, build_model
 from repro.features.reduction import FeatureReducer
 from repro.ml.base import Classifier
 from repro.ml.metrics import DetectorScores, evaluate_detector

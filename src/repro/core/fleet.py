@@ -30,8 +30,8 @@ Per-application classification goes through
 :func:`~repro.core.runtime.grade_trace`, i.e. each execution's
 windows (and each retry's salvaged windows) hit the detector as one
 batch through the vectorized inference kernels — the fleet's
-windows/second ceiling is the per-detector rate pinned by
-``benchmarks/bench_inference.py`` times the worker count.  Each final
+windows/second ceiling is the per-detector classify rate (perfbench's
+``ml.classify_s`` layer) times the worker count.  Each final
 verdict is published through the shared
 :class:`~repro.core.runtime.VerdictSink`.
 """

@@ -10,6 +10,11 @@ that discipline (write a sibling temp file, flush, fsync, then
 ``os.replace``), shared by :mod:`repro.analysis.cache`,
 :mod:`repro.obs` and :mod:`repro.registry`.
 
+:func:`update_manifest` adds the concurrent-writer half for the two
+stores indexed by one JSON manifest (the model registry and the
+archive): its read-modify-write runs under an exclusive ``flock``, so
+two processes saving into one store both land in the manifest.
+
 :func:`to_jsonable` is the companion payload normalizer: observability
 reports are assembled from numpy arithmetic, and ``json.dumps(...,
 default=str)`` would silently stringify any numpy scalar that leaks
@@ -21,9 +26,12 @@ keeps numbers numbers.
 from __future__ import annotations
 
 import contextlib
+import fcntl
+import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,6 +63,34 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` (UTF-8) to ``path`` atomically."""
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def update_manifest(
+    path: str | Path, read: Callable[[], Any], update: Callable[[Any], bool]
+) -> bool:
+    """Read-modify-write the JSON document at ``path`` under a file lock.
+
+    Holds an exclusive ``fcntl.flock`` on the sibling ``<name>.lock``
+    (created on first use) while ``read()`` loads the current document,
+    ``update(document)`` mutates it in place and returns whether it
+    changed, and a changed document is written back with
+    :func:`atomic_write_text`.  Writers serialize on the lock, so no
+    update is lost to a concurrent one; readers take no lock and see
+    the old or the new file.  Anything ``update`` writes besides the
+    manifest (a payload it indexes) is written under the lock too.
+
+    Returns:
+        Whether the document was written.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path.with_name(path.name + ".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        document = read()
+        changed = update(document)
+        if changed:
+            atomic_write_text(path, json.dumps(document, indent=1))
+        return changed
 
 
 def to_jsonable(value):

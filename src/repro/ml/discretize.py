@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import fitmode
-
 _LOG2 = math.log(2.0)
 
 
@@ -36,40 +34,6 @@ def _class_counts(labels: np.ndarray, weights: np.ndarray, n_classes: int) -> np
     for c in range(n_classes):
         counts[c] = weights[labels == c].sum()
     return counts
-
-
-def _best_cut_scalar(
-    values: np.ndarray, labels: np.ndarray, weights: np.ndarray, n_classes: int
-) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-    """Per-candidate boundary scan (pre-vectorization reference).
-
-    One Python iteration — two :func:`_entropy` calls — per candidate
-    boundary.  Retained as the differential reference for
-    :func:`_best_cut_batch`.
-    """
-    order = np.argsort(values, kind="stable")
-    v, y, w = values[order], labels[order], weights[order]
-    # candidate cut between i and i+1 where value changes
-    change = np.flatnonzero(np.diff(v) > 0)
-    if change.size == 0:
-        return None
-    onehot = np.zeros((len(y), n_classes))
-    onehot[np.arange(len(y)), y] = w
-    left_counts = np.cumsum(onehot, axis=0)
-    total_counts = left_counts[-1]
-    total = total_counts.sum()
-    best = None
-    for i in change:
-        left = left_counts[i]
-        right = total_counts - left
-        wl, wr = left.sum(), right.sum()
-        if wl <= 0 or wr <= 0:
-            continue
-        score = (wl * _entropy(left) + wr * _entropy(right)) / total
-        if best is None or score < best[1]:
-            cut = (v[i] + v[i + 1]) / 2.0
-            best = (cut, score, left, right)
-    return best
 
 
 def _entropy_rows(counts: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -90,15 +54,17 @@ def _entropy_rows(counts: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return np.where(mass > 0, ent, 0.0)
 
 
-def _best_cut_batch(
+def _best_cut(
     values: np.ndarray, labels: np.ndarray, weights: np.ndarray, n_classes: int
 ) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-    """Vectorized boundary scan: every candidate scored simultaneously.
+    """Find the boundary minimizing weighted class entropy, or None.
 
-    Same sort/cumulative-count prologue as the scalar reference, then the
-    split scores of *all* candidate boundaries come from one row-wise
-    entropy evaluation; a first-argmin replicates the reference's strict
-    ``<`` ("keep the earliest minimum") selection.
+    Only *boundary points* (between differently-labelled runs) are
+    candidates, per Fayyad & Irani's theorem.  The split scores of all
+    candidate boundaries come from one row-wise entropy evaluation; a
+    first-argmin keeps the earliest minimum, as the retired
+    per-candidate scan in ``tests/oracles/ml.py`` does with a strict
+    ``<``.
     """
     order = np.argsort(values, kind="stable")
     v, y, w = values[order], labels[order], weights[order]
@@ -124,19 +90,6 @@ def _best_cut_batch(
     i = int(change[b])
     cut = (v[i] + v[i + 1]) / 2.0
     return cut, float(scores[b]), left[b], right[b]
-
-
-def _best_cut(
-    values: np.ndarray, labels: np.ndarray, weights: np.ndarray, n_classes: int
-) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-    """Find the boundary minimizing weighted class entropy, or None.
-
-    Only *boundary points* (between differently-labelled runs) are
-    candidates, per Fayyad & Irani's theorem.
-    """
-    if fitmode.scalar_fit_enabled():
-        return _best_cut_scalar(values, labels, weights, n_classes)
-    return _best_cut_batch(values, labels, weights, n_classes)
 
 
 def _mdl_accepts(

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import fitmode
 from repro.ml.base import Classifier, check_features, check_training_set
 
 _EPS = 1e-12
@@ -68,8 +67,9 @@ def _dedupe_sorted(sorted_values: np.ndarray) -> np.ndarray:
 def _attribute_thresholds(column: np.ndarray) -> np.ndarray | None:
     """Candidate thresholds of one attribute (midpoints of distinct values).
 
-    Shared by both fit paths so threshold construction can never differ
-    between them.  Returns ``None`` when the column is constant.
+    Shared with the retired per-attribute search in ``tests/oracles/ml.py``
+    so threshold construction can never differ between them.  Returns
+    ``None`` when the column is constant.
     """
     sorted_values = np.sort(column)
     distinct = _dedupe_sorted(sorted_values)
@@ -79,18 +79,6 @@ def _attribute_thresholds(column: np.ndarray) -> np.ndarray | None:
         # quantile output over monotone qs is already sorted
         distinct = _dedupe_sorted(_sorted_quantiles(sorted_values, _QUANTILE_GRID))
     return (distinct[:-1] + distinct[1:]) / 2.0
-
-
-def _prefix_masses(
-    wpos: np.ndarray, wneg: np.ndarray, prefix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positive/negative weight covered by each condition prefix.
-
-    ``prefix`` is the ``(n_rows, n_conditions)`` cumulative-conjunction
-    matrix.  Both prune paths call this one matvec, so gemv-vs-ddot
-    rounding cannot leak into the differential comparison.
-    """
-    return wpos @ prefix, wneg @ prefix
 
 
 @dataclass(frozen=True)
@@ -134,6 +122,19 @@ class Rule:
         return f"({body})"
 
 
+def _prefix_coverage(conditions: list[Condition], features: np.ndarray) -> np.ndarray:
+    """Rows covered by each condition prefix, shape ``(n_rows, n_conditions)``.
+
+    Column ``k`` is the conjunction of conditions ``0..k``: one stacked
+    comparison and a ``logical_and.accumulate`` along the condition axis.
+    """
+    attributes = np.array([c.attribute for c in conditions], dtype=np.intp)
+    thresholds = np.array([c.threshold for c in conditions])
+    negate = np.array([c.op == ">" for c in conditions])
+    satisfied = (features[:, attributes] <= thresholds) ^ negate
+    return np.logical_and.accumulate(satisfied, axis=1)
+
+
 def _foil_gain(p0: float, n0: float, p1: np.ndarray, n1: np.ndarray) -> np.ndarray:
     """FOIL information gain of refining coverage (p0,n0) to (p1,n1)."""
     before = np.log2((p0 + 1.0) / (p0 + n0 + 2.0))
@@ -150,7 +151,7 @@ class CompiledRuleList:
     assignment an ``argmax`` over the rule-hit matrix.  Because ``>`` is
     exactly ``not <=`` on finite floats (and the feature checks reject
     NaN), this is bit-identical to applying :meth:`Rule.covers` rule by
-    rule — the retained scalar reference the differential tests use.
+    rule, as the differential tests check.
     """
 
     __slots__ = ("attributes", "thresholds", "negate", "offsets", "rule_counts")
@@ -273,53 +274,15 @@ class JRip(Classifier):
     def _candidate_conditions(
         self, features: np.ndarray, positives: np.ndarray, weights: np.ndarray
     ) -> tuple[Condition, float] | None:
-        """Best single condition by FOIL gain over current coverage."""
-        if fitmode.scalar_fit_enabled():
-            return self._candidate_conditions_scalar(features, positives, weights)
-        return self._candidate_conditions_batch(features, positives, weights)
-
-    def _candidate_conditions_scalar(
-        self, features: np.ndarray, positives: np.ndarray, weights: np.ndarray
-    ) -> tuple[Condition, float] | None:
-        """Per-attribute coverage products (differential reference).
-
-        Retained pre-vectorization hot path: one ``<=`` matrix and two
-        weight products per attribute, with the running strict-``>``
-        best-candidate update the batch path's first-argmax replicates.
-        """
-        p0 = float(weights[positives].sum())
-        n0 = float(weights[~positives].sum())
-        if p0 <= 0:
-            return None
-        best: tuple[Condition, float] | None = None
-        for j in range(features.shape[1]):
-            thresholds = _attribute_thresholds(features[:, j])
-            if thresholds is None:
-                continue
-            le = features[:, j][:, None] <= thresholds[None, :]
-            wpos = weights * positives
-            wneg = weights * (~positives)
-            p_le = wpos @ le
-            n_le = wneg @ le
-            for op, p1, n1 in (("<=", p_le, n_le), (">", p0 - p_le, n0 - n_le)):
-                gains = _foil_gain(p0, n0, p1, n1)
-                k = int(np.argmax(gains))
-                if gains[k] > _EPS and (best is None or gains[k] > best[1]):
-                    best = (Condition(j, op, float(thresholds[k])), float(gains[k]))
-        return best
-
-    def _candidate_conditions_batch(
-        self, features: np.ndarray, positives: np.ndarray, weights: np.ndarray
-    ) -> tuple[Condition, float] | None:
-        """All attributes' conditions scored by two stacked matvecs.
+        """Best single condition by FOIL gain over current coverage.
 
         Every attribute's ``<=`` columns are packed into one boolean
-        matrix so a single ``weights @ matrix`` product replaces the
-        per-attribute products of the scalar reference (a contiguous
-        column block of a matvec is bitwise the standalone product).
-        Candidate gains are then laid out in the reference's visit order
-        — per attribute, ``<=`` block then ``>`` block — so a first
-        ``argmax`` reproduces its strict-``>`` tie-breaking exactly.
+        matrix so a single ``weights @ matrix`` product replaces one
+        product per attribute (a contiguous column block of a matvec is
+        bitwise the standalone product).  Candidate gains are then laid
+        out in per-attribute visit order — ``<=`` block then ``>`` block
+        — so a first ``argmax`` reproduces a running strict-``>`` best
+        update exactly.
         """
         p0 = float(weights[positives].sum())
         n0 = float(weights[~positives].sum())
@@ -404,31 +367,15 @@ class JRip(Classifier):
     ) -> Rule:
         """Suffix-prune the rule to maximize (p-n)/(p+n) on the prune set.
 
-        Both paths build the ``(n_rows, n_conditions)`` prefix-coverage
-        matrix — the scalar reference one ``covers`` conjunction at a
-        time, the fast path with one stacked comparison and a segmented
-        ``logical_and.accumulate`` — and feed it to the shared
-        :func:`_prefix_masses` matvec, so the suffix-selection sweep sees
-        bit-identical scores either way.
+        The masses of every prefix come from one matvec over the
+        :func:`_prefix_coverage` matrix.
         """
         if not rule.conditions:
             return Rule(conditions=[], class_counts=np.zeros(2))
         positives = labels == self.positive_class_
-        if fitmode.scalar_fit_enabled():
-            prefix = np.empty((features.shape[0], len(rule.conditions)), dtype=bool)
-            covered = np.ones(features.shape[0], dtype=bool)
-            for k, condition in enumerate(rule.conditions):
-                covered = covered & condition.covers(features)
-                prefix[:, k] = covered
-        else:
-            attributes = np.array([c.attribute for c in rule.conditions], dtype=np.intp)
-            thresholds = np.array([c.threshold for c in rule.conditions])
-            negate = np.array([c.op == ">" for c in rule.conditions])
-            satisfied = (features[:, attributes] <= thresholds) ^ negate
-            prefix = np.logical_and.accumulate(satisfied, axis=1)
-        p_mass, n_mass = _prefix_masses(
-            weights * positives, weights * (~positives), prefix
-        )
+        prefix = _prefix_coverage(rule.conditions, features)
+        p_mass = (weights * positives) @ prefix
+        n_mass = (weights * (~positives)) @ prefix
         best_len = len(rule.conditions)
         best_score = -np.inf
         scores = [
@@ -493,21 +440,6 @@ class JRip(Classifier):
         self._compiled = CompiledRuleList(self.rules_)
         self.fitted_ = True
         return self
-
-    def _counts_scalar(self, features: np.ndarray) -> np.ndarray:
-        """Scalar reference: first-match counts via per-rule mask loops.
-
-        Retained (pre-vectorization prediction path) for differential
-        tests and the before/after inference benchmark.
-        """
-        assert self.default_counts_ is not None
-        counts = np.tile(self.default_counts_, (features.shape[0], 1))
-        unassigned = np.ones(features.shape[0], dtype=bool)
-        for rule in self.rules_:
-            hit = rule.covers(features) & unassigned
-            counts[hit] = rule.class_counts
-            unassigned &= ~hit
-        return counts
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         self._require_fitted()

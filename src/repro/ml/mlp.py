@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import fitmode
 from repro.ml.base import Classifier, check_features, check_training_set
 from repro.ml.scaling import StandardScaler
 
@@ -126,16 +125,13 @@ class MLP(Classifier):
         targets[np.arange(n), labels] = 1.0
         rel_weight = (weights / weights.mean())[:, None]
 
-        if fitmode.scalar_fit_enabled():
-            w1, b1, w2, b2 = self._train_scalar(x, targets, rel_weight, rng, w1, b1, w2, b2)
-        else:
-            w1, b1, w2, b2 = self._train_fast(x, targets, rel_weight, rng, w1, b1, w2, b2)
+        w1, b1, w2, b2 = self._train(x, targets, rel_weight, rng, w1, b1, w2, b2)
         self.w_hidden_, self.b_hidden_ = w1, b1
         self.w_out_, self.b_out_ = w2, b2
         self.fitted_ = True
         return self
 
-    def _train_scalar(
+    def _train(
         self,
         x: np.ndarray,
         targets: np.ndarray,
@@ -146,55 +142,12 @@ class MLP(Classifier):
         w2: np.ndarray,
         b2: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Momentum backprop, one fancy-indexed gather per mini-batch.
+        """Momentum backprop over shuffled mini-batches.
 
-        Retained pre-optimization hot path: the differential reference
-        for :meth:`_train_fast`.
-        """
-        dw1 = np.zeros_like(w1)
-        db1 = np.zeros_like(b1)
-        dw2 = np.zeros_like(w2)
-        db2 = np.zeros_like(b2)
-        lr, mom = self.learning_rate, self.momentum
-        n = x.shape[0]
-        for epoch in range(self.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                rows = order[start : start + self.batch_size]
-                xb, tb, wb = x[rows], targets[rows], rel_weight[rows]
-                hidden = _sigmoid(xb @ w1 + b1)
-                out = _sigmoid(hidden @ w2 + b2)
-                # squared-error gradient through output sigmoids,
-                # averaged over the mini-batch
-                delta_out = (out - tb) * out * (1.0 - out) * wb / len(rows)
-                delta_hidden = (delta_out @ w2.T) * hidden * (1.0 - hidden)
-                dw2 = mom * dw2 - lr * hidden.T @ delta_out
-                db2 = mom * db2 - lr * delta_out.sum(axis=0)
-                dw1 = mom * dw1 - lr * xb.T @ delta_hidden
-                db1 = mom * db1 - lr * delta_hidden.sum(axis=0)
-                w2 += dw2
-                b2 += db2
-                w1 += dw1
-                b1 += db1
-        return w1, b1, w2, b2
-
-    def _train_fast(
-        self,
-        x: np.ndarray,
-        targets: np.ndarray,
-        rel_weight: np.ndarray,
-        rng: np.random.Generator,
-        w1: np.ndarray,
-        b1: np.ndarray,
-        w2: np.ndarray,
-        b2: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bit-identical optimized epoch loop.
-
-        Same update protocol as :meth:`_train_scalar` — the rng draws,
-        matmul shapes, and the arithmetic order of every momentum update
-        are replicated exactly — but the whole epoch is gathered into
-        permuted contiguous arrays once (mini-batches become views
+        Bit-identical to the retired loop in ``tests/oracles/ml.py`` — the
+        rng draws, matmul shapes, and the arithmetic order of every
+        momentum update are the same — but the whole epoch is gathered
+        into permuted contiguous arrays once (mini-batches become views
         instead of three fancy-indexed copies each), the sigmoid is the
         branch-free :func:`_sigmoid_fast`, and momentum buffers update
         in place instead of rebinding fresh arrays per batch.

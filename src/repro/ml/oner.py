@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import fitmode
 from repro.ml.base import Classifier, check_features, check_training_set, proba_from_counts
 
 
@@ -87,50 +86,24 @@ class OneR(Classifier):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Holte-style 1R bucketing of one numeric attribute.
 
-        Both paths share the sorted-run prologue
-        (:func:`_run_cumulative_masses`) and define every bucket's class
-        mass as a cumulative-minus-base difference; a bucket closes at
-        the first run boundary where the majority mass reaches
-        ``min_bucket_size``.  The scalar reference scans runs one Python
-        iteration at a time; the fast path jumps straight to each
-        closing boundary with two ``searchsorted`` probes (the cumsums
-        are nondecreasing) plus a local fixup that re-checks the exact
-        protocol comparison, since ``cum - base >= t`` and
-        ``cum >= base + t`` can disagree within one ulp.
+        Every bucket's class mass is a cumulative-minus-base difference
+        over the sorted runs (:func:`_run_cumulative_masses`); a bucket
+        closes at the first run boundary where the majority mass reaches
+        ``min_bucket_size``.  :meth:`_sweep` finds those boundaries.
 
         Returns:
             ``(cut_points, bucket_counts)`` where ``bucket_counts`` has
             shape ``(n_buckets, 2)`` of weighted class mass per bucket.
         """
         run_values, cum0, cum1 = _run_cumulative_masses(values, labels, weights)
-        if fitmode.scalar_fit_enabled():
-            closings = self._sweep_scalar(cum0, cum1)
-        else:
-            closings = self._sweep_fast(cum0, cum1)
+        closings = self._sweep(cum0, cum1)
         cuts, counts = self._assemble_buckets(run_values, cum0, cum1, closings)
         if counts.shape[0] == 0:
             counts = np.zeros((1, 2))
         return _merge_buckets(cuts, counts)
 
-    def _sweep_scalar(self, cum0: np.ndarray, cum1: np.ndarray) -> list[int]:
-        """Run-by-run bucket sweep (differential reference).
-
-        Returns the run indices at which buckets close.
-        """
-        threshold = self.min_bucket_size
-        n_runs = cum0.size
-        closings: list[int] = []
-        base0 = 0.0
-        base1 = 0.0
-        for r in range(n_runs - 1):
-            if cum0[r] - base0 >= threshold or cum1[r] - base1 >= threshold:
-                closings.append(r)
-                base0 = float(cum0[r])
-                base1 = float(cum1[r])
-        return closings
-
-    def _sweep_fast(self, cum0: np.ndarray, cum1: np.ndarray) -> list[int]:
-        """Searchsorted bucket sweep, bit-identical to the scalar scan.
+    def _sweep(self, cum0: np.ndarray, cum1: np.ndarray) -> list[int]:
+        """Searchsorted bucket sweep, bit-identical to a run-by-run scan.
 
         Each bucket's closing boundary is located with two binary probes
         on the nondecreasing cumsums instead of a run-by-run walk, then

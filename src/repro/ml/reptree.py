@@ -56,30 +56,6 @@ class REPTree(FlatTreeClassifier):
         }
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _accumulate_prune_counts_scalar(
-        node: TreeNode, features: np.ndarray, labels: np.ndarray, weights: np.ndarray
-    ) -> None:
-        """Scalar reference for the held-out path accumulation.
-
-        Retained for differential tests and the before/after inference
-        benchmark; :meth:`fit` uses the batch
-        :meth:`~repro.ml.tree.FlatTree.path_class_mass` kernel.
-        """
-        for i in range(features.shape[0]):
-            current = node
-            while True:
-                current.prune_counts[labels[i]] += weights[i]
-                if current.is_leaf:
-                    break
-                assert current.attribute is not None and current.threshold is not None
-                assert current.left is not None and current.right is not None
-                current = (
-                    current.left
-                    if features[i, current.attribute] <= current.threshold
-                    else current.right
-                )
-
     def _accumulate_prune_counts(
         self, node: TreeNode, features: np.ndarray, labels: np.ndarray, weights: np.ndarray
     ) -> None:

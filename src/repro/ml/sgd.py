@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import fitmode
 from repro.ml.base import Classifier, check_features, check_training_set
 from repro.ml.scaling import StandardScaler
 
@@ -33,8 +32,9 @@ from repro.ml.scaling import StandardScaler
 def _margins(xb: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
     """Raw scores of a batch against frozen weights (shared BLAS matvec).
 
-    Both fit paths call this, so gemv-vs-ddot rounding differences can
-    never leak into the differential comparison.
+    The retired per-row loop in ``tests/oracles/ml.py`` calls this too,
+    so gemv-vs-ddot rounding differences can never leak into the
+    differential comparison.
     """
     return xb @ w + b
 
@@ -42,8 +42,8 @@ def _margins(xb: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
 def _apply_update(w: np.ndarray, coef: np.ndarray, xb: np.ndarray) -> float:
     """Accumulate all row steps of a batch: ``w += coef @ xb``.
 
-    Returns the bias increment ``sum(coef)``.  Shared by both fit paths
-    for the same reason as :func:`_margins`.
+    Returns the bias increment ``sum(coef)``.  Shared with the retired
+    loop for the same reason as :func:`_margins`.
     """
     w += coef @ xb
     return float(np.sum(coef))
@@ -113,71 +113,25 @@ class SGD(Classifier):
         y = labels * 2.0 - 1.0  # {-1, +1}
         rng = np.random.default_rng(self.seed)
         rel_weight = weights / weights.mean()
-        if fitmode.scalar_fit_enabled():
-            w, b = self._fit_scalar(x, y, rel_weight, rng)
-        else:
-            w, b = self._fit_fast(x, y, rel_weight, rng)
+        w, b = self._train(x, y, rel_weight, rng)
         self.weights_ = w
         self.bias_ = float(b)
         self.fitted_ = True
         return self
 
-    def _fit_scalar(
+    def _train(
         self,
         x: np.ndarray,
         y: np.ndarray,
         rel_weight: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, float]:
-        """Per-row Python step assembly (differential reference).
-
-        Implements the identical mini-batch protocol as :meth:`_fit_fast`
-        — frozen-weight batch margins via :func:`_margins`, one combined
-        decay, one rank-1 aggregation via :func:`_apply_update` — but the
-        per-row step coefficients are decided and computed one Python
-        iteration at a time.
-        """
-        n, d = x.shape
-        w = np.zeros(d)
-        b = 0.0
-        lr = self.learning_rate
-        bs = self.batch_size
-        decay = 1.0 - lr * self.reg_lambda
-        decay_full = decay**bs
-        hinge = self.loss == "hinge"
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            xo, yo, ro = x[order], y[order], rel_weight[order]
-            for start in range(0, n, bs):
-                stop = start + bs
-                xb, yb, rb = xo[start:stop], yo[start:stop], ro[start:stop]
-                m = yb * _margins(xb, w, b)
-                length = len(xb)
-                w *= decay_full if length == bs else decay**length
-                coef = np.zeros(length)
-                for i in range(length):
-                    if hinge:
-                        if m[i] < 1.0:
-                            coef[i] = lr * rb[i] * yb[i]
-                    else:
-                        grad = -yb[i] / (1.0 + np.exp(m[i]))
-                        coef[i] = -(lr * rb[i] * grad)
-                b += _apply_update(w, coef, xb)
-        return w, b
-
-    def _fit_fast(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        rel_weight: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, float]:
-        """Vectorized mini-batch loop, bit-identical to :meth:`_fit_scalar`.
+        """Vectorized mini-batch loop.
 
         Row steps become one ``np.where`` (hinge) or one vectorized
         logistic gradient; ``np.exp`` evaluates element-wise identically
-        on arrays and scalars, so the logistic coefficients match the
-        reference's per-row arithmetic bitwise.
+        on arrays and scalars, so the coefficients match the retired
+        per-row loop in ``tests/oracles/ml.py`` bitwise.
         """
         n, d = x.shape
         w = np.zeros(d)

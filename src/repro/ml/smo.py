@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import fitmode
 from repro.ml.base import Classifier, check_features, check_training_set
 from repro.ml.scaling import StandardScaler
 
@@ -127,10 +126,7 @@ class SMO(Classifier):
             # crashed the partner draw (``rng.integers(0)``)
             alpha, b, w = np.zeros(x.shape[0]), 0.0, np.zeros(x.shape[1])
         elif self.kernel == "linear":
-            if fitmode.scalar_fit_enabled():
-                alpha, b, w = self._fit_linear_scalar(x, y, rng)
-            else:
-                alpha, b, w = self._fit_linear(x, y, rng)
+            alpha, b, w = self._fit_linear(x, y, rng)
         else:
             alpha, b, w = self._fit_rbf(x, y, rng)
 
@@ -151,17 +147,17 @@ class SMO(Classifier):
 
     # -- linear-kernel training (per-visit margin protocol) ------------
     #
-    # Both linear paths consume the historical protocol exactly: every
+    # The linear path consumes the historical protocol exactly: every
     # margin that feeds a KKT test or a pair update is the per-row ddot
-    # ``float(x[i] @ w) + b`` against the *live* weights.  The fast path
+    # ``float(x[i] @ w) + b`` against the *live* weights.  It
     # additionally keeps a gemv margin snapshot, but only as a *screen*:
     # it pre-filters candidate violators (with a slack much wider than
     # the gemv-vs-ddot rounding gap yet much narrower than ``tol``) and
     # every candidate is then confirmed with the exact ddot test before
     # a partner is drawn.  Rows the screen rejects cannot pass the exact
-    # test, and rng draws happen exactly where the reference draws them,
-    # so the fitted model is bit-identical to the scalar reference (and
-    # to the historical implementation).
+    # test, and rng draws happen exactly where the historical loop draws
+    # them, so the fitted model is bit-identical to it (the loop is kept
+    # as a reference in ``tests/oracles/ml.py``).
     #
     # Scalar locals are plain Python floats throughout (``y``/``kdiag``
     # prefetched via ``tolist``, alphas mirrored in a list): float and
@@ -187,8 +183,8 @@ class SMO(Classifier):
         """Attempt one Platt pair step on ``(i, j)``; mutates alpha/w.
 
         Returns ``(changed, b)``; the caller refreshes the margin cache
-        when ``changed``.  Shared by the scalar and vectorized linear
-        paths so the update arithmetic cannot drift between them.
+        when ``changed``.  Shared with the retired linear loop in
+        ``tests/oracles/ml.py`` so the update arithmetic cannot drift.
         """
         ai_old, aj_old = al[i], al[j]
         yi, yj = yl[i], yl[j]
@@ -240,7 +236,7 @@ class SMO(Classifier):
         rng: np.random.Generator,
         i: int,
     ) -> tuple[bool, float]:
-        """One exact working-set visit of row ``i`` (both fit paths).
+        """One exact working-set visit of row ``i``.
 
         Evaluates the per-row ddot margin against the live weights,
         tests KKT, and on violation draws a partner and attempts a
@@ -260,36 +256,10 @@ class SMO(Classifier):
             return self._pair_update(xr, yl, alpha, al, w, b, kl, i, j, err_i, err_j)
         return False, b
 
-    def _fit_linear_scalar(
-        self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        """Historical training loop: one exact visit per row per round."""
-        n = x.shape[0]
-        alpha = np.zeros(n)
-        b = 0.0
-        w = np.zeros(x.shape[1])
-        kdiag = np.einsum("ij,ij->i", x, x)
-        xr = list(x)
-        yl = y.tolist()
-        al = alpha.tolist()
-        kl = kdiag.tolist()
-        passes = 0
-        iterations = 0
-        max_iterations = self.max_rounds * n
-        while passes < self.max_passes and iterations < max_iterations:
-            changed = 0
-            for i in range(n):
-                iterations += 1
-                stepped, b = self._visit(xr, yl, alpha, al, w, b, kl, rng, i)
-                if stepped:
-                    changed += 1
-            passes = passes + 1 if changed == 0 else 0
-        return alpha, b, w
-
     def _fit_linear(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, float, np.ndarray]:
-        """Screened working-set scan, bit-identical to the scalar path.
+        """Screened working-set scan, bit-identical to the historical loop.
 
         In *sparse* rounds (few updates) a gemv margin snapshot
         ``x @ w + b`` — rebuilt whenever an update lands — pre-filters
@@ -297,10 +267,10 @@ class SMO(Classifier):
         candidates pay a Python-loop visit; each visit re-runs the exact
         ddot KKT test (see ``_SCREEN_SLACK``) before drawing a partner,
         so skipped rows cannot pass the exact test and rng draws happen
-        exactly where the reference draws them.  In *dense* rounds —
+        exactly where the historical loop draws them.  In *dense* rounds —
         early optimization, when snapshot rebuilds would outnumber the
         visits they skip — the round walks every row exactly like the
-        reference.  Both strategies consume the identical per-visit
+        historical loop.  Both strategies consume the identical per-visit
         protocol, so the fitted model is bit-identical regardless of
         which rounds used which strategy; the previous round's update
         count picks the cheaper one.
@@ -323,7 +293,7 @@ class SMO(Classifier):
         while passes < self.max_passes and iterations < max_iterations:
             changed = 0
             if last_changed * 16 > n:
-                # Dense round: walk every row like the scalar reference.
+                # Dense round: walk every row like the historical loop.
                 for i in range(n):
                     stepped, b = self._visit(xr, yl, alpha, al, w, b, kl, rng, i)
                     if stepped:
@@ -359,7 +329,7 @@ class SMO(Classifier):
     def _fit_rbf(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, float, np.ndarray]:
-        """RBF-kernel SMO (historical per-visit loop, both fit modes).
+        """RBF-kernel SMO (historical per-visit loop).
 
         Kernel rows are cached lazily; margins are evaluated over live
         support vectors per visit.  The evaluation matrix trains linear

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import fitmode
 from repro.ml.base import Classifier, check_features, proba_from_counts
 
 _EPS = 1e-12
@@ -75,15 +74,6 @@ class TreeNode:
         return 1 + max(self.left.depth(), self.right.depth())
 
 
-def entropy(counts: np.ndarray) -> float:
-    """Entropy (nats) of a weighted class-count vector."""
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
-
-
 @dataclass(frozen=True)
 class Split:
     """Result of a split search on one node's data."""
@@ -94,60 +84,6 @@ class Split:
     gain_ratio: float
 
 
-def best_split_for_attribute(
-    values: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    min_leaf_weight: float,
-) -> tuple[float, float, float] | None:
-    """Best binary threshold on one attribute.
-
-    Vectorized sweep: sort once, build cumulative weighted class counts,
-    evaluate every distinct-value boundary simultaneously.
-
-    Returns:
-        ``(threshold, gain, gain_ratio)`` of the entropy-gain maximizing
-        cut, or None when no cut leaves ``min_leaf_weight`` on both sides.
-    """
-    order = np.argsort(values, kind="stable")
-    v, y, w = values[order], labels[order], weights[order]
-    boundaries = np.flatnonzero(np.diff(v) > 0)
-    if boundaries.size == 0:
-        return None
-    onehot = np.zeros((len(y), 2))
-    onehot[np.arange(len(y)), y] = w
-    cum = np.cumsum(onehot, axis=0)
-    total_counts = cum[-1]
-    total = total_counts.sum()
-
-    left = cum[boundaries]  # (k, 2)
-    right = total_counts - left
-    wl = left.sum(axis=1)
-    wr = right.sum(axis=1)
-    ok = (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
-    if not ok.any():
-        return None
-    left, right, wl, wr = left[ok], right[ok], wl[ok], wr[ok]
-    boundaries = boundaries[ok]
-
-    def ent(counts: np.ndarray, mass: np.ndarray) -> np.ndarray:
-        p = counts / np.maximum(mass[:, None], _EPS)
-        p = np.clip(p, _EPS, 1.0)
-        return -(p * np.log(p)).sum(axis=1)
-
-    parent_entropy = entropy(total_counts)
-    children = (wl * ent(left, wl) + wr * ent(right, wr)) / total
-    gains = parent_entropy - children
-    pl, pr = wl / total, wr / total
-    split_info = -(pl * np.log(pl) + pr * np.log(pr))
-    ratios = gains / np.maximum(split_info, _EPS)
-
-    best = int(np.argmax(gains))
-    i = boundaries[best]
-    threshold = (v[i] + v[i + 1]) / 2.0
-    return threshold, float(gains[best]), float(ratios[best])
-
-
 def _select_split(candidates: list[Split], use_gain_ratio: bool) -> Split | None:
     """Pick the winning split from per-attribute candidates.
 
@@ -156,8 +92,9 @@ def _select_split(candidates: list[Split], use_gain_ratio: bool) -> Split | None
     gain — C4.5's guard against the ratio favouring near-trivial splits.
     Otherwise (REPTree) plain information gain decides.
 
-    Shared verbatim by the scalar and batch split searches so that tie
-    breaking and the mean-gain reduction order cannot drift between them.
+    Shared verbatim with the retired per-attribute split search in
+    ``tests/oracles/ml.py`` so that tie breaking and the mean-gain
+    reduction order cannot drift between them.
     """
     if not candidates:
         return None
@@ -168,49 +105,25 @@ def _select_split(candidates: list[Split], use_gain_ratio: bool) -> Split | None
     return max(eligible, key=lambda s: s.gain_ratio)
 
 
-def find_split_scalar(
+def find_split(
     features: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
     min_leaf_weight: float,
     use_gain_ratio: bool,
 ) -> Split | None:
-    """Per-attribute split search (pre-vectorization reference).
-
-    One :func:`best_split_for_attribute` call — sort, cumulative class
-    counts, boundary sweep — per attribute.  Retained as the differential
-    reference for :func:`find_split_batch`.
-    """
-    candidates: list[Split] = []
-    for j in range(features.shape[1]):
-        found = best_split_for_attribute(features[:, j], labels, weights, min_leaf_weight)
-        if found is None:
-            continue
-        threshold, gain, ratio = found
-        if gain > _EPS:
-            candidates.append(Split(j, threshold, gain, ratio))
-    return _select_split(candidates, use_gain_ratio)
-
-
-def find_split_batch(
-    features: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    min_leaf_weight: float,
-    use_gain_ratio: bool,
-) -> Split | None:
-    """Split search over *all* attributes in one vectorized sweep.
+    """Search all attributes for the best split in one vectorized sweep.
 
     Sorts every feature column at once, builds per-column cumulative
     weighted class counts, and evaluates every candidate boundary of
     every attribute simultaneously; invalid positions (equal-value runs,
     leaves below ``min_leaf_weight``) are masked to ``-inf`` before a
-    per-column first-argmax.  Every arithmetic step mirrors
-    :func:`best_split_for_attribute` elementwise — axis-0 ``cumsum`` of a
-    2-D array is computed per column exactly like the 1-D cumsums of the
-    scalar path, and a masked full-column argmax picks the same first
-    maximum as the scalar path's argmax over compacted candidates — so
-    the produced :class:`Split` is bit-identical.
+    per-column first-argmax.  Every arithmetic step mirrors the retired
+    one-attribute-at-a-time search (``tests/oracles/ml.py``) elementwise
+    — axis-0 ``cumsum`` of a 2-D array is computed per column exactly
+    like its 1-D cumsums, and a masked full-column argmax picks the same
+    first maximum as its argmax over compacted candidates — so the
+    produced :class:`Split` is bit-identical.
     """
     n, d = features.shape
     if n < 2:
@@ -241,8 +154,8 @@ def find_split_batch(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         children = (wl * ent(left0, left1, wl) + wr * ent(right0, right1, wr)) / total
-        # entropy() of the parent counts, term-summed: a zero class
-        # contributes an exact 0.0, matching the scalar filtered sum.
+        # entropy of the parent counts, term-summed: a zero class
+        # contributes an exact 0.0, matching a filtered sum.
         safe_total = np.where(total > 0, total, 1.0)
         pp0 = np.where(total0 > 0, total0 / safe_total, 1.0)
         pp1 = np.where(total1 > 0, total1 / safe_total, 1.0)
@@ -266,19 +179,6 @@ def find_split_batch(
         threshold = (v[i, j] + v[i + 1, j]) / 2.0
         candidates.append(Split(int(j), float(threshold), float(gains[i, j]), float(ratios[i, j])))
     return _select_split(candidates, use_gain_ratio)
-
-
-def find_split(
-    features: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    min_leaf_weight: float,
-    use_gain_ratio: bool,
-) -> Split | None:
-    """Search all attributes for the best split (dispatching entry point)."""
-    if fitmode.scalar_fit_enabled():
-        return find_split_scalar(features, labels, weights, min_leaf_weight, use_gain_ratio)
-    return find_split_batch(features, labels, weights, min_leaf_weight, use_gain_ratio)
 
 
 def grow_tree(
@@ -325,19 +225,6 @@ def route(node: TreeNode, row: np.ndarray) -> TreeNode:
         assert node.left is not None and node.right is not None
         node = node.left if row[node.attribute] <= node.threshold else node.right
     return node
-
-
-def leaf_counts_matrix_scalar(node: TreeNode, features: np.ndarray) -> np.ndarray:
-    """Per-row leaf class counts via the scalar :func:`route` reference.
-
-    Retained (pre-vectorization hot path) for differential tests and the
-    before/after inference benchmark; production prediction goes through
-    :class:`FlatTree`.
-    """
-    out = np.zeros((features.shape[0], 2))
-    for i in range(features.shape[0]):
-        out[i] = route(node, features[i]).counts
-    return out
 
 
 class FlatTree:

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ioutil import atomic_write_bytes, atomic_write_text
+from repro.ioutil import atomic_write_bytes, update_manifest
 from repro.obs.trace import load_trace
 
 #: Schema tag of the archive layout (bump on incompatible change).
@@ -469,6 +469,7 @@ class Archive:
     Layout under ``root``::
 
         manifest.json                 # segment index (atomic rewrites)
+        manifest.json.lock            # held by writers while they ingest
         segments/<id[:2]>/<id>.npz    # one columnar segment per run
 
     Args:
@@ -544,50 +545,50 @@ class Archive:
         The segment ID is the SHA-256 of the normalized content, so
         ingesting the same run twice is a no-op: the second call finds
         the ID in the manifest and returns ``ingested=False`` without
-        touching disk.  The segment file is written before the manifest
-        entry; a crash between the two leaves an orphan that the next
+        writing anything.  The check, the segment write and the manifest
+        append run under the manifest lock
+        (:func:`~repro.ioutil.update_manifest`), so concurrent ingests of
+        one run index it once and ingests of different runs all land.
+        The segment file is written before the manifest entry; a crash between the two leaves an orphan that the next
         ingest of the same content atomically overwrites and indexes.
         """
         snapshot = normalize_metrics(metrics)
         segment_id = segment_content_id(verdicts, alerts, spans, snapshot)
         path = self.segment_path(segment_id)
-        for existing in self.segments():
-            if existing["segment_id"] == segment_id:
-                return IngestResult(
-                    segment_id=segment_id,
-                    ingested=False,
-                    n_verdicts=existing["n_verdicts"],
-                    n_alerts=existing["n_alerts"],
-                    n_spans=existing["n_spans"],
-                    path=path,
-                )
-        arrays = _build_segment_arrays(verdicts, alerts, spans, snapshot)
-        atomic_write_bytes(path, _segment_bytes(arrays))
-        all_ts = (
-            [v["ts"] for v in verdicts]
-            + [a["ts"] for a in alerts]
-            + [s["ts"] for s in spans]
-        )
-        entry = {
-            "segment_id": segment_id,
-            "file": str(path.relative_to(self.root)),
-            "source": source,
-            "run_id": run_id,
-            "created_ts": time.time(),
-            "n_verdicts": len(verdicts),
-            "n_alerts": len(alerts),
-            "n_spans": len(spans),
-            "ts_min": min(all_ts) if all_ts else None,
-            "ts_max": max(all_ts) if all_ts else None,
-            "hosts": sorted({v["host"] for v in verdicts}),
-            "run_meta": run_meta,
-        }
-        manifest = self.manifest()
-        manifest["segments"].append(entry)
-        atomic_write_text(self.manifest_path, json.dumps(manifest, indent=1))
+
+        def update(manifest: dict) -> bool:
+            if any(e["segment_id"] == segment_id for e in manifest["segments"]):
+                return False
+            arrays = _build_segment_arrays(verdicts, alerts, spans, snapshot)
+            atomic_write_bytes(path, _segment_bytes(arrays))
+            all_ts = (
+                [v["ts"] for v in verdicts]
+                + [a["ts"] for a in alerts]
+                + [s["ts"] for s in spans]
+            )
+            manifest["segments"].append(
+                {
+                    "segment_id": segment_id,
+                    "file": str(path.relative_to(self.root)),
+                    "source": source,
+                    "run_id": run_id,
+                    "created_ts": time.time(),
+                    "n_verdicts": len(verdicts),
+                    "n_alerts": len(alerts),
+                    "n_spans": len(spans),
+                    "ts_min": min(all_ts) if all_ts else None,
+                    "ts_max": max(all_ts) if all_ts else None,
+                    "hosts": sorted({v["host"] for v in verdicts}),
+                    "run_meta": run_meta,
+                }
+            )
+            return True
+
+        # equal content ids mean equal records, so the counts of a
+        # no-op re-ingest are this call's own
         return IngestResult(
             segment_id=segment_id,
-            ingested=True,
+            ingested=update_manifest(self.manifest_path, self.manifest, update),
             n_verdicts=len(verdicts),
             n_alerts=len(alerts),
             n_spans=len(spans),

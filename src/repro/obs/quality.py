@@ -36,7 +36,9 @@ layer for that failure mode:
 
 The tracker never touches verdict computation: monitors built with
 ``quality=None`` pay one attribute check, and enabling tracking leaves
-verdicts bit-identical (asserted in ``benchmarks/bench_quality.py``).
+verdicts bit-identical (asserted by
+``tests/serve/test_service.py::test_serve_quality_tracking_keeps_verdicts_identical``;
+perfbench's ``obs.quality_share`` prices the enabled path).
 
 Determinism contract: evaluation time is whatever clock the caller
 supplies (event timestamps during replay, a fake clock in tests), time
@@ -669,15 +671,9 @@ class DriftScorer:
             "ks": _ks(self.profile.score_counts, live_score_counts),
         }
 
-    def margin_drift(self, live_margin_counts: np.ndarray) -> dict:
-        return {
-            "psi": self.margin_psi(live_margin_counts),
-            "ks": _ks(self.profile.margin_counts, live_margin_counts),
-        }
-
     def margin_psi(self, live_margin_counts: np.ndarray) -> float:
-        """Margin PSI alone — the hot path's per-observation signal
-        (the KS twin is only rendered in offline reports)."""
+        """PSI of the live vote-margin histogram against the reference —
+        the tracker's per-observation ``margin_psi`` signal."""
         live = np.asarray(live_margin_counts, dtype=float)
         n = live.sum()
         if not self._margin_ref_ok or n <= 0:

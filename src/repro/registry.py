@@ -38,7 +38,12 @@ import numpy as np
 from repro.core.config import DetectorConfig
 from repro.core.detector import HMDDetector
 from repro.features.correlation import FeatureRanking
-from repro.ioutil import atomic_write_bytes, atomic_write_text, to_jsonable
+from repro.ioutil import (
+    atomic_write_bytes,
+    atomic_write_text,
+    to_jsonable,
+    update_manifest,
+)
 from repro.ml.base import (
     ArtifactError,
     Classifier,
@@ -193,10 +198,13 @@ class ModelRegistry:
 
         root/
           manifest.json                  # id -> {payload, kind, name, tags}
+          manifest.json.lock             # held by writers while they save
           models/<id>/spec.json          # JSON spec (params, config, ranking)
           models/<id>/arrays.npz         # compiled inference arrays
 
-    Every write is atomic (tempfile + ``os.replace``); re-saving an
+    Every write is atomic (tempfile + ``os.replace``) and every save runs
+    under the manifest lock (:func:`~repro.ioutil.update_manifest`), so
+    concurrent writers never lose each other's entries; re-saving an
     identical model only touches the manifest, and only when its tag set
     actually grows.
     """
@@ -223,9 +231,6 @@ class ModelRegistry:
         if not isinstance(manifest.get("models"), dict):
             raise RegistryError(f"malformed manifest {self.manifest_path}")
         return manifest
-
-    def _write_manifest(self, manifest: dict) -> None:
-        atomic_write_text(self.manifest_path, json.dumps(manifest, indent=1))
 
     def entries(self) -> list[ModelEntry]:
         """All saved models, newest first."""
@@ -275,27 +280,29 @@ class ModelRegistry:
         self, spec: dict, arrays: dict, *, payload: str, name: str, tags: tuple[str, ...]
     ) -> ModelEntry:
         mid = model_id(spec, arrays)
-        manifest = self._read_manifest()
-        existing = manifest["models"].get(mid)
-        if existing is not None:
-            merged = sorted(set(existing.get("tags", ())) | set(tags))
-            if merged != sorted(existing.get("tags", ())):
+
+        def update(manifest: dict) -> bool:
+            existing = manifest["models"].get(mid)
+            if existing is not None:
+                merged = sorted(set(existing.get("tags", ())) | set(tags))
+                changed = merged != sorted(existing.get("tags", ()))
                 existing["tags"] = merged
-                self._write_manifest(manifest)
-            return self.resolve(mid)
-        target = self._model_dir(mid)
-        atomic_write_bytes(target / "arrays.npz", _savez_bytes(arrays))
-        atomic_write_text(
-            target / "spec.json", json.dumps(to_jsonable(spec), indent=1)
-        )
-        manifest["models"][mid] = {
-            "payload": payload,
-            "kind": spec.get("model", {}).get("kind", ""),
-            "name": name,
-            "tags": sorted(set(tags)),
-            "saved_unix": time.time(),
-        }
-        self._write_manifest(manifest)
+                return changed
+            target = self._model_dir(mid)
+            atomic_write_bytes(target / "arrays.npz", _savez_bytes(arrays))
+            atomic_write_text(
+                target / "spec.json", json.dumps(to_jsonable(spec), indent=1)
+            )
+            manifest["models"][mid] = {
+                "payload": payload,
+                "kind": spec.get("model", {}).get("kind", ""),
+                "name": name,
+                "tags": sorted(set(tags)),
+                "saved_unix": time.time(),
+            }
+            return True
+
+        update_manifest(self.manifest_path, self._read_manifest, update)
         return self.resolve(mid)
 
     def save_detector(

@@ -225,3 +225,14 @@ def test_runner_without_obs_records_nothing(small_corpus):
     assert runner.tracer.enabled is False
     assert runner.metrics.enabled is False
     assert runner.tracer.events == []
+
+
+def test_enabled_telemetry_leaves_records_unchanged(small_corpus):
+    configs = [DetectorConfig("OneR", mode, 2) for mode in ("general", "boosted")]
+    plain = MatrixRunner(small_corpus, seeds=(7,)).evaluate_grid(configs)
+    traced = MatrixRunner(
+        small_corpus, seeds=(7,), tracer=Tracer(), metrics=Registry()
+    )
+    assert traced.evaluate_grid(configs) == plain
+    snap = traced.metrics.snapshot()
+    assert snap["counters"]["matrix_cells_computed_total"]["value"] == len(configs)

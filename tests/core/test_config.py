@@ -1,9 +1,13 @@
-"""Detector configuration and registry."""
+"""Detector configuration and the classifier zoo it builds."""
 
 import pytest
 
-from repro.core.config import CLASSIFIER_NAMES, DetectorConfig
-from repro.core.registry import build_base_classifier, build_model
+from repro.core.config import (
+    CLASSIFIER_NAMES,
+    DetectorConfig,
+    build_base_classifier,
+    build_model,
+)
 from repro.ml import AdaBoostM1, Bagging
 from repro.ml.reptree import REPTree
 

@@ -1,9 +1,8 @@
-"""Registry-built models: every (classifier, ensemble) pair trains."""
+"""Models built by ``build_model``: every (classifier, ensemble) pair trains."""
 
 import pytest
 
-from repro.core.config import CLASSIFIER_NAMES, DetectorConfig
-from repro.core.registry import build_model
+from repro.core.config import CLASSIFIER_NAMES, DetectorConfig, build_model
 from repro.features.reduction import FeatureReducer
 
 FAST_ENOUGH = [c for c in CLASSIFIER_NAMES if c != "MLP"]

@@ -57,6 +57,30 @@ def test_every_public_callable_has_a_docstring(path):
     assert not undocumented, f"{path}: missing docstrings on {undocumented}"
 
 
+def test_shipped_code_carries_no_test_oracles():
+    """Scalar reference paths live in ``tests/oracles``: the package has no
+    fit-mode switch, defines no ``*_scalar`` function or method, and
+    imports nothing from ``tests``."""
+    with pytest.raises(ModuleNotFoundError):
+        import repro.fitmode  # noqa: F401
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if "_scalar" in node.name:
+                    offenders.append(f"{path.relative_to(SRC)}: def {node.name}")
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[0] == "tests":
+                    offenders.append(f"{path.relative_to(SRC)}: from {node.module}")
+            elif isinstance(node, ast.Import):
+                offenders += [
+                    f"{path.relative_to(SRC)}: import {alias.name}"
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "tests"
+                ]
+    assert not offenders
+
+
 def test_readme_quickstart_names_real_api():
     import repro
 

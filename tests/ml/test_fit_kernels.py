@@ -1,11 +1,12 @@
 """Differential tests: vectorized fit paths vs scalar references.
 
-PR 5 pinned the *inference* kernels to their scalar references; this file
-does the same for *training*.  Every learner whose ``fit`` consults
-:mod:`repro.fitmode` is fitted twice on the same data — once through the
-vectorized path, once through the retained scalar reference — and the
-fitted parameters AND the predictions must be *bit identical* (``
-np.array_equal``, never closeness).  The same harness runs each learner
+``test_inference_kernels.py`` pins the *inference* kernels to their
+scalar references; this file does the same for *training*.  Every
+learner with a retired fit path in :mod:`tests.oracles.ml` is fitted
+twice on the same data — once through the shipped vectorized path, once
+inside :func:`~tests.oracles.ml.retired_ml` — and the fitted parameters
+AND the predictions must be *bit identical* (``np.array_equal``, never
+closeness).  The same harness runs each learner
 under AdaBoost.M1 and Bagging so ensemble resampling, reweighting, and
 member cloning cannot hide a divergence, plus hypothesis-driven random
 corpora with deliberately awkward shapes: constant feature columns,
@@ -36,7 +37,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fitmode
 from repro.ml import (
     MLP,
     SGD,
@@ -49,6 +49,7 @@ from repro.ml import (
     OneR,
     REPTree,
 )
+from tests.oracles.ml import retired_ml
 
 GOLDEN_PATH = Path(__file__).parent / "golden_fit_digests.json"
 
@@ -146,7 +147,7 @@ def fit_both(build, features, labels, sample_weight=None):
     """Fit through both paths; return ``(fast, scalar)`` models."""
     fast = build()
     fast.fit(features, labels, sample_weight=sample_weight)
-    with fitmode.scalar_fit():
+    with retired_ml():
         ref = build()
         ref.fit(features, labels, sample_weight=sample_weight)
     return fast, ref
@@ -156,6 +157,31 @@ def assert_identical(fast, ref, queries) -> None:
     assert fingerprint(fast) == fingerprint(ref)
     assert np.array_equal(fast.predict_proba(queries), ref.predict_proba(queries))
     assert np.array_equal(fast.predict(queries), ref.predict(queries))
+
+
+def test_retired_ml_swaps_every_fit_path_and_restores_it():
+    from repro.ml import discretize, jrip, tree
+    from tests.oracles import ml as oracle
+
+    def paths():
+        return (
+            discretize._best_cut, tree.find_split, jrip._prefix_coverage,
+            vars(OneR)["_sweep"], vars(JRip)["_candidate_conditions"],
+            vars(MLP)["_train"], vars(SGD)["_train"], vars(SMO)["_fit_linear"],
+            vars(REPTree)["_accumulate_prune_counts"],
+        )
+
+    shipped = paths()
+    with retired_ml():
+        retired = paths()
+        assert retired[:8] == (
+            oracle.best_cut_scalar, oracle.find_split_scalar,
+            oracle.jrip_prefix_coverage_scalar, oracle.oner_sweep_scalar,
+            oracle.jrip_candidate_conditions_scalar, oracle.mlp_train_scalar,
+            oracle.sgd_train_scalar, oracle.smo_fit_linear_scalar,
+        )
+        assert retired[8].__func__ is oracle.accumulate_prune_counts_scalar
+    assert paths() == shipped
 
 
 # ------------------------------------------------- learner x mode matrix

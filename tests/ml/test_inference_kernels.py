@@ -2,7 +2,8 @@
 
 The batch kernels (``FlatTree`` descent, ``CompiledRuleList`` rule
 application, stacked ensemble probability reduction) must be *bit
-identical* to the retained scalar paths — same leaf, same counts, same
+identical* to the scalar references in :mod:`tests.oracles.ml` and to
+per-member loops — same leaf, same counts, same
 probabilities — on any input, including single-row and empty batches and
 rows that sit exactly on split thresholds.  Every test here asserts
 exact equality (``np.array_equal``), never closeness.
@@ -19,13 +20,11 @@ from repro.ml import SGD, AdaBoostM1, Bagging, BayesNet, J48, JRip, OneR, REPTre
 from repro.ml.base import proba_from_counts
 from repro.ml.ensemble.voting import VotingEnsemble
 from repro.ml.jrip import CompiledRuleList, Condition, Rule
-from repro.ml.reptree import REPTree as REPTreeClass
-from repro.ml.tree import (
-    FlatTree,
-    grow_tree,
-    leaf_counts_matrix,
+from repro.ml.tree import FlatTree, grow_tree, leaf_counts_matrix, route
+from tests.oracles.ml import (
+    accumulate_prune_counts_scalar,
+    jrip_counts_scalar,
     leaf_counts_matrix_scalar,
-    route,
 )
 
 
@@ -84,7 +83,7 @@ def test_flat_tree_path_mass_matches_scalar_accumulation(seed):
     held_y = rng.integers(0, 2, size=60).astype(np.intp)
     held_w = rng.uniform(0.1, 3.0, size=60)
 
-    REPTreeClass._accumulate_prune_counts_scalar(root_ref, held_x, held_y, held_w)
+    accumulate_prune_counts_scalar(root_ref, held_x, held_y, held_w)
     flat = FlatTree(root_vec)
     mass = flat.path_class_mass(held_x, held_y, held_w)
     for i, node in enumerate(flat.nodes):
@@ -195,7 +194,7 @@ def test_fitted_jrip_matches_scalar_reference_and_empty_batch():
     labels = ((features[:, 0] > 0.3) & (features[:, 1] < 0.5)).astype(np.intp)
     model = JRip(seed=1).fit(features, labels)
     queries = rng.normal(size=(120, 4))
-    counts = model._counts_scalar(queries)
+    counts = jrip_counts_scalar(model, queries)
     smoothed = counts + 1.0
     want = smoothed / smoothed.sum(axis=1, keepdims=True)
     assert np.array_equal(model.predict_proba(queries), want)

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import (
-    TreeNode,
-    best_split_for_attribute,
-    entropy,
-    find_split,
-    grow_tree,
-    leaf_counts_matrix,
-    route,
-)
+from repro.ml.tree import TreeNode, find_split, grow_tree, leaf_counts_matrix, route
+from tests.oracles.ml import best_split_for_attribute, entropy
 
 
 def test_entropy_pure_is_zero():

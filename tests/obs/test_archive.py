@@ -1,6 +1,7 @@
 """Archive layer: normalization, content addressing, idempotent ingest."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -186,6 +187,43 @@ def test_reingest_is_a_noop(tmp_path):
     assert first.ingested and not second.ingested
     assert len(archive) == 1
     assert second.n_verdicts == first.n_verdicts
+
+
+def _ingest_all(root, runs, barrier):
+    archive = Archive(root)
+    barrier.wait()
+    for events in runs:
+        archive.ingest_events(events)
+
+
+def test_concurrent_ingests_index_each_run_once(tmp_path):
+    """Two processes ingesting 15 shared runs plus 15 runs of their own
+    into one archive: each shared run is indexed once and no run is
+    lost (the already-archived check and the manifest append used to
+    run unlocked, so writers duplicated and dropped entries)."""
+
+    def run(k):
+        return [serve_verdict_event(float(k), 0, host=f"h{k}")]
+
+    shared = [run(k) for k in range(15)]
+    own = [[run(100 * (w + 1) + k) for k in range(15)] for w in range(2)]
+    root = tmp_path / "archive"
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    writers = [
+        ctx.Process(
+            target=_ingest_all,
+            args=(root, [r for pair in zip(shared, own[w]) for r in pair], barrier),
+        )
+        for w in range(2)
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(60)
+    assert [w.exitcode for w in writers] == [0, 0]
+    ids = [e["segment_id"] for e in Archive(root).segments()]
+    assert len(ids) == len(set(ids)) == 45
 
 
 def test_ingest_trace_file_matches_ingest_events(tmp_path):

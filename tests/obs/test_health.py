@@ -321,6 +321,37 @@ def test_evaluator_ignores_unrelated_events():
     assert evaluator.window.total_verdicts == 1
 
 
+def test_ingest_reaches_the_same_report_as_observe_verdict():
+    """Replaying verdict events (the ``watch`` path) and feeding the same
+    verdicts in process evaluate every rule and SLO identically."""
+
+    def make():
+        return HealthEvaluator(
+            rules=[
+                parse_alert_spec("degraded_ratio>=0.2:critical:5:0.1"),
+                parse_alert_spec("windows_lost_fraction>=0.1:warning"),
+                parse_alert_spec("retry_rate>=0.5:warning:10"),
+            ],
+            slos=[parse_slo("nondegraded>=0.95"), parse_slo("windows_kept>=0.9")],
+            window_s=30.0,
+            clock=lambda: pytest.fail("both paths carry their own timestamps"),
+        )
+
+    observed, ingested = make(), make()
+    for i in range(2000):
+        fields = dict(
+            is_malware=i % 3 == 0, degraded=i % 7 == 0, n_windows=10,
+            n_windows_lost=int(i % 11 == 0),
+        )
+        attempts = 1 + (i % 13 == 0)
+        observed.observe_verdict("app", retries=attempts - 1, ts=i * 0.01, **fields)
+        assert ingested.ingest(_verdict_event(i * 0.01, attempts=attempts, **fields))
+    assert observed.window.total_degraded == ingested.window.total_degraded > 0
+    assert json.dumps(observed.report(), sort_keys=True) == json.dumps(
+        ingested.report(), sort_keys=True
+    )
+
+
 def test_evaluator_absorb_metrics_feeds_classify_window():
     registry = Registry()
     hist = registry.histogram("monitor_window_classify_seconds",

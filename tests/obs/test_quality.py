@@ -415,9 +415,7 @@ def test_tracker_stationary_stream_stays_silent(profile):
     """Replaying the reference draw itself scores exactly zero PSI.
 
     The evidence floor is pinned to the full reference window count so
-    no evaluation ever sees a partial (genuinely divergent) mixture —
-    the same construction ``bench_quality.py`` uses for its stationary
-    control.
+    no evaluation ever sees a partial (genuinely divergent) mixture.
     """
     tracker = make_tracker(profile, min_windows=N_REF)
     windows, scores = ref_data()
