@@ -28,7 +28,7 @@ from repro.core.config import DetectorConfig
 # Re-exported for backward compatibility: the atomic writer now lives in
 # repro.ioutil so every JSON/binary dump in the repo shares one
 # implementation of the write-temp-fsync-replace discipline.
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, dumps_json
 from repro.obs import NULL_REGISTRY, Registry
 from repro.workloads.dataset import Dataset
 
@@ -77,7 +77,7 @@ def record_cache_key(
         "kind": kind,
         "extra": extra or {},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = dumps_json(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -177,7 +177,7 @@ class ResultCache:
 
     def put(self, key: str, record) -> None:
         """Store one record atomically under its content address."""
-        text = json.dumps(record_to_payload(record), indent=1)
+        text = dumps_json(record_to_payload(record))
         start = time.perf_counter()
         atomic_write_text(self.path_of(key), text)
         self._h_write.observe(time.perf_counter() - start)

@@ -39,6 +39,7 @@ from repro.core.config import CLASSIFIER_NAMES, DetectorConfig
 from repro.core.detector import HMDDetector
 from repro.features.correlation import FeatureRanking, rank_features
 from repro.hardware.lowering import lower
+from repro.ioutil import dumps_json
 from repro.ml.metrics import roc_curve
 from repro.ml.validation import app_level_split
 from repro.obs import NULL_REGISTRY, NULL_TRACER, Registry, Tracer
@@ -389,7 +390,7 @@ def save_records(path: str | Path, records: list) -> None:
     truncates or corrupts an existing cache file.
     """
     payload = [record_to_payload(r) for r in records]
-    atomic_write_text(Path(path), json.dumps(payload, indent=1))
+    atomic_write_text(Path(path), dumps_json(payload))
 
 
 def load_records(path: str | Path) -> list:

@@ -518,11 +518,3 @@ class FlatTreeClassifier(Classifier):
         assert self.root_ is not None
         return self.root_.depth()
 
-
-def leaf_counts_matrix(node: TreeNode, features: np.ndarray) -> np.ndarray:
-    """Class counts of the leaf each row lands in, shape ``(n, 2)``.
-
-    Convenience wrapper that flattens on the fly; fitted classifiers
-    cache their :class:`FlatTree` instead of re-flattening per call.
-    """
-    return FlatTree(node).leaf_counts(features)

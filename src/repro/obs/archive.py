@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ioutil import atomic_write_bytes, update_manifest
+from repro.ioutil import atomic_write_bytes, dumps_json, update_manifest
 from repro.obs.trace import load_trace
 
 #: Schema tag of the archive layout (bump on incompatible change).
@@ -268,7 +268,7 @@ def segment_content_id(
         "spans": [[s[f] for f in _SPAN_FIELDS] for s in spans],
         "metrics": metrics,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = dumps_json(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -385,7 +385,7 @@ def _build_segment_arrays(
         "span_name": np.array([intern(s["name"]) for s in spans], dtype=np.uint32),
         "span_ts": np.array([s["ts"] for s in spans], dtype=np.float64),
         "span_dur": np.array([s["dur"] for s in spans], dtype=np.float64),
-        "metrics_json": np.array([json.dumps(metrics, sort_keys=True)]),
+        "metrics_json": np.array([dumps_json(metrics, sort_keys=True)]),
         "strings": np.array(intern.strings if intern.strings else [""], dtype=str),
         "n_strings": np.array([len(intern.strings)], dtype=np.int64),
     }

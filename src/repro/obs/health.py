@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, TextIO
 
-from repro.ioutil import atomic_write_text, to_jsonable
+from repro.ioutil import atomic_write_text, dumps_json
 from repro.obs.archive import VERDICT_EVENTS
 from repro.obs.metrics import FAST_LATENCY_BUCKETS, NULL_REGISTRY, Registry
 from repro.obs.stats import histogram_quantile
@@ -796,11 +796,11 @@ class HealthEvaluator:
     def dump(self, path: str | Path) -> None:
         """Atomically write the final health report to ``path`` as JSON.
 
-        The payload is coerced to native Python types first: numpy
-        scalars leaking into ``json.dumps(..., default=str)`` used to be
-        silently stringified, corrupting downstream consumers' types.
+        The file is one line of compact JSON (:func:`repro.ioutil.dumps_json`):
+        numpy scalars in the report are written as native numbers, never
+        stringified.
         """
-        atomic_write_text(path, json.dumps(to_jsonable(self.report()), indent=1))
+        atomic_write_text(path, dumps_json(self.report()))
 
 
 def _fmt_value(value) -> str:

@@ -17,13 +17,12 @@ that don't ask for metrics.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from bisect import bisect_left
 from pathlib import Path
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, dumps_json
 
 #: Wall-time buckets for second-scale stages (fit/eval/cache writes).
 DEFAULT_LATENCY_BUCKETS = (
@@ -283,7 +282,7 @@ class Registry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=1)
+        return dumps_json(self.snapshot())
 
     def dump(self, path: str | Path) -> None:
         """Atomically write the JSON snapshot to ``path``.

@@ -60,7 +60,7 @@ from typing import Callable, ClassVar, TextIO
 
 import numpy as np
 
-from repro.ioutil import atomic_write_text, to_jsonable
+from repro.ioutil import atomic_write_text, dumps_json
 from repro.obs.archive import DRIFT_RULE
 from repro.obs.health import AlertRule, AlertState, parse_alert_spec
 from repro.obs.metrics import NULL_REGISTRY, Registry
@@ -445,9 +445,7 @@ class ReferenceProfile:
     @property
     def profile_id(self) -> str:
         """Content-addressed identity (SHA-256 of the canonical JSON)."""
-        payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        payload = dumps_json(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     @classmethod
@@ -484,7 +482,7 @@ class ReferenceProfile:
         """Atomically write the profile as JSON; returns its profile_id."""
         data = self.to_dict()
         data["profile_id"] = self.profile_id
-        atomic_write_text(Path(path), json.dumps(data, indent=1))
+        atomic_write_text(Path(path), dumps_json(data))
         return data["profile_id"]
 
     @classmethod
@@ -1190,11 +1188,11 @@ class QualityTracker:
     def dump(self, path: str | Path) -> None:
         """Atomically write the final quality report to ``path`` as JSON.
 
-        The payload is coerced to native Python types first: numpy
-        scalars leaking into ``json.dumps(..., default=str)`` used to be
-        silently stringified, corrupting downstream consumers' types.
+        The file is one line of compact JSON (:func:`repro.ioutil.dumps_json`):
+        numpy scalars in the report are written as native numbers, never
+        stringified.
         """
-        atomic_write_text(path, json.dumps(to_jsonable(self.report()), indent=1))
+        atomic_write_text(path, dumps_json(self.report()))
 
 
 def _fmt_signal(value: float) -> str:

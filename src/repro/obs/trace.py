@@ -36,6 +36,10 @@ from repro.ioutil import atomic_write_text
 #: Schema tag written into dumped traces (bump on incompatible change).
 TRACE_SCHEMA_VERSION = 1
 
+#: One encoder for every dumped event; same bytes as ``json.dumps(event,
+#: default=str)`` without building an encoder per event.
+_EVENT_ENCODER = json.JSONEncoder(default=str)
+
 
 class _NullSpan:
     """Shared do-nothing span returned by disabled tracers."""
@@ -210,7 +214,7 @@ class Tracer:
         :meth:`drain` when appending to avoid duplicate lines).
         """
         events = self.events
-        text = "".join(json.dumps(event, default=str) + "\n" for event in events)
+        text = "".join(_EVENT_ENCODER.encode(event) + "\n" for event in events)
         path = Path(path)
         if not append:
             atomic_write_text(path, text)

@@ -41,7 +41,7 @@ from repro.features.correlation import FeatureRanking
 from repro.ioutil import (
     atomic_write_bytes,
     atomic_write_text,
-    to_jsonable,
+    dumps_json,
     update_manifest,
 )
 from repro.ml.base import (
@@ -64,10 +64,6 @@ class RegistryError(RuntimeError):
 # ----------------------------------------------------------------------
 # content addressing
 # ----------------------------------------------------------------------
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"))
-
-
 def model_id(spec: dict, arrays: dict) -> str:
     """SHA-256 content address of one ``(spec, arrays)`` payload.
 
@@ -76,7 +72,7 @@ def model_id(spec: dict, arrays: dict) -> str:
     same id regardless of dict ordering or container timestamps.
     """
     digest = sha256(PAYLOAD_FORMAT.encode())
-    digest.update(_canonical_json(spec).encode())
+    digest.update(dumps_json(spec, sort_keys=True).encode())
     for key in sorted(arrays):
         arr = np.ascontiguousarray(arrays[key])
         digest.update(key.encode())
@@ -290,9 +286,7 @@ class ModelRegistry:
                 return changed
             target = self._model_dir(mid)
             atomic_write_bytes(target / "arrays.npz", _savez_bytes(arrays))
-            atomic_write_text(
-                target / "spec.json", json.dumps(to_jsonable(spec), indent=1)
-            )
+            atomic_write_text(target / "spec.json", dumps_json(spec))
             manifest["models"][mid] = {
                 "payload": payload,
                 "kind": spec.get("model", {}).get("kind", ""),

@@ -140,6 +140,38 @@ def test_model_id_is_content_addressed():
     assert base != model_id(spec, {"w": np.arange(4, dtype=float).reshape(2, 2)})
 
 
+#: Ids captured before the registry's JSON moved from the ``to_jsonable``
+#: walk to ``ioutil.dumps_json``.  Registries already on disk are
+#: addressed by these ids, so the canonical spec bytes must not move.
+PINNED_MODEL_IDS = {
+    ("REPTree", "boosted"): "e57e2bac2e6af725301078ef43d38dfdc1b7b7e17d4397669fa40b965f06b59b",
+    ("SMO", "general"): "e567f5197b154387c53ed9f8ac1569f5efb23baf13298e44dd4f3c8efc62a56c",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_MODEL_IDS), ids="-".join)
+def test_model_id_of_a_fixed_fit_is_pinned(cell, small_split, tmp_path):
+    classifier, ensemble = cell
+    config = DetectorConfig(classifier, ensemble, 2, n_estimators=3)
+    detector = HMDDetector(config).fit(small_split.train)
+    entry = ModelRegistry(tmp_path).save_detector(detector)
+    assert entry.model_id == PINNED_MODEL_IDS[cell]
+
+
+def test_model_id_of_a_numpy_spec_is_pinned():
+    """numpy leaves hash as the native values they stand for."""
+    spec = {
+        "kind": "X",
+        "params": {
+            "a": np.float64(0.1), "b": np.int64(3), "c": np.bool_(True),
+            "d": np.float32(0.5), "e": np.arange(3), "f": (1.5, float("nan")),
+        },
+    }
+    assert model_id(spec, {"w": np.arange(4, dtype=float)}) == (
+        "36c53fa43cc45925d257b6f8f8d8cd067655c9bc4551b73c200561607ebb93a6"
+    )
+
+
 def test_save_and_load_bare_classifier(blobs, tmp_path):
     from repro.ml import JRip
 

@@ -88,3 +88,29 @@ def test_readme_quickstart_names_real_api():
     for symbol in ("default_corpus", "app_level_split", "HMDDetector", "DetectorConfig"):
         assert symbol in readme
         assert hasattr(repro, symbol)
+
+
+def test_persisted_json_goes_through_the_c_encoder():
+    """Outside the CLI's terminal printing, ``src/repro`` never calls
+    ``json.dump``/``json.dumps`` with ``indent=`` (which drops CPython to
+    its pure-Python encoder) and never names ``to_jsonable``: every
+    persisted document goes through ``repro.ioutil.dumps_json``."""
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        if path.name == "cli.py":
+            continue
+        where = path.relative_to(SRC)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and any(kw.arg == "indent" for kw in node.keywords)
+            ):
+                offenders.append(f"{where}:{node.lineno}: json.{node.func.attr}(indent=...)")
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "to_jsonable":
+                offenders.append(f"{where}:{node.lineno}: to_jsonable")
+    assert not offenders, offenders

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.ioutil import to_jsonable
+from repro.ioutil import dumps_json
 from repro.ml import (
     MLP,
     SGD,
@@ -71,7 +71,7 @@ ENSEMBLES = [
 def round_trip(model: Classifier) -> Classifier:
     """Serialize through the exact media the registry uses: JSON + npz."""
     spec, arrays = export_classifier(model)
-    spec = json.loads(json.dumps(to_jsonable(spec)))
+    spec = json.loads(dumps_json(spec))
     buffer = io.BytesIO()
     np.savez(buffer, **{k: np.ascontiguousarray(v) for k, v in arrays.items()})
     buffer.seek(0)
@@ -146,7 +146,7 @@ def test_spec_is_pure_json(blobs):
     for make in (lambda: JRip(), lambda: AdaBoostM1(OneR(), n_estimators=2)):
         model = make().fit(features, labels)
         spec, _ = export_classifier(model)
-        text = json.dumps(to_jsonable(spec))
+        text = dumps_json(spec)
 
         def check(node):
             if isinstance(node, dict):

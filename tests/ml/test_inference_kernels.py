@@ -20,7 +20,7 @@ from repro.ml import SGD, AdaBoostM1, Bagging, BayesNet, J48, JRip, OneR, REPTre
 from repro.ml.base import proba_from_counts
 from repro.ml.ensemble.voting import VotingEnsemble
 from repro.ml.jrip import CompiledRuleList, Condition, Rule
-from repro.ml.tree import FlatTree, grow_tree, leaf_counts_matrix, route
+from repro.ml.tree import FlatTree, grow_tree, route
 from tests.oracles.ml import (
     accumulate_prune_counts_scalar,
     jrip_counts_scalar,
@@ -122,7 +122,7 @@ def test_flat_tree_of_leaf_only_root():
 def test_leaf_counts_matrix_wrapper_is_vectorized_path():
     root, features, _, _ = _random_tree(11, 100, 4)
     assert np.array_equal(
-        leaf_counts_matrix(root, features), leaf_counts_matrix_scalar(root, features)
+        FlatTree(root).leaf_counts(features), leaf_counts_matrix_scalar(root, features)
     )
 
 

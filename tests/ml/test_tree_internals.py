@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import TreeNode, find_split, grow_tree, leaf_counts_matrix, route
+from repro.ml.tree import FlatTree, TreeNode, find_split, grow_tree, route
 from tests.oracles.ml import best_split_for_attribute, entropy
 
 
@@ -94,7 +94,7 @@ def test_leaf_counts_matrix_rows_match_routes():
     features = rng.normal(size=(60, 2))
     labels = (features[:, 1] > 0).astype(np.intp)
     root = grow_tree(features, labels, np.ones(60), 1.0, False)
-    matrix = leaf_counts_matrix(root, features[:5])
+    matrix = FlatTree(root).leaf_counts(features[:5])
     for i in range(5):
         np.testing.assert_allclose(matrix[i], route(root, features[i]).counts)
 

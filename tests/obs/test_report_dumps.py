@@ -14,19 +14,31 @@ Two historical bugs, pinned here so they stay dead:
   turned any leaked ``np.float64``/``np.int64`` into a *string*,
   corrupting the types downstream parsers see.  Dumped numbers must
   round-trip as ``int``/``float``, never ``str``.
+
+Every dump now goes through ``repro.ioutil.dumps_json`` (compact, C
+encoder); the parity tests below hold it to the JSON the retired
+``to_jsonable`` walk plus ``json.dumps(..., indent=1)`` produced, and
+the durability test holds ``atomic_write_bytes`` to fsyncing the file
+before the rename and its directory after it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.ioutil
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, dumps_json
 from repro.obs import HealthEvaluator, QualityTracker, Registry, parse_alert_spec
+from tests.oracles.jsonable import to_jsonable_oracle
 
 from .test_quality import make_profile
 
@@ -197,7 +209,104 @@ def test_quality_report_values_are_native(tmp_path):
             yield node
     kinds = {type(leaf) for leaf in leaves(payload)}
     assert float in kinds or int in kinds
-    # a numpy scalar in the payload would have crashed json.dumps
-    # (no default= hook anymore) — but double-check nothing was
-    # pre-stringified either
+    # the encoder's default hook turns numpy leaves into numbers; check
+    # nothing was pre-stringified either
     _assert_no_stringified_numbers(payload)
+
+
+# -- one C-speed encoder -------------------------------------------------
+
+
+def _parsed(text: str) -> str:
+    """What ``json.loads`` gives, in a form where NaN equals NaN and 1 is not 1.0."""
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
+def _report(dumper):
+    return dumper.snapshot() if isinstance(dumper, Registry) else dumper.report()
+
+
+@pytest.mark.parametrize("fill", DUMPERS)
+def test_dump_parses_to_what_the_indented_walk_wrote(fill, tmp_path):
+    """The compact dump is the same document the retired writer produced."""
+    dumper = fill()
+    target = tmp_path / "report.json"
+    dumper.dump(target)
+    text = target.read_text()
+    assert "\n" not in text
+    retired = json.dumps(to_jsonable_oracle(_report(dumper)), indent=1)
+    assert _parsed(text) == _parsed(retired)
+
+
+_NUMPY_LEAVES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.floats(allow_nan=True).map(np.array),
+    st.lists(st.floats(width=32), max_size=6).map(
+        lambda xs: np.array(xs, dtype=np.float32)
+    ),
+    st.lists(st.integers(-1000, 1000), min_size=4, max_size=4).map(
+        lambda xs: np.array(xs, dtype=np.int64).reshape(2, 2)
+    ),
+    st.lists(st.booleans(), max_size=4).map(lambda xs: np.array(xs, dtype=bool)),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(),
+)
+
+_PAYLOADS = st.recursive(
+    _NUMPY_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_PAYLOADS)
+def test_dumps_json_matches_the_retired_walk(payload):
+    native = to_jsonable_oracle(payload)
+    assert _parsed(dumps_json(payload)) == _parsed(json.dumps(native))
+    # byte-equal too, which is what keeps content addresses stable
+    compact = (",", ":")
+    assert dumps_json(payload) == json.dumps(native, separators=compact)
+    assert dumps_json(payload, sort_keys=True) == json.dumps(
+        native, separators=compact, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("value", [object(), {"path": Path("x")}, np.complex128(1j)])
+def test_dumps_json_refuses_non_json_values(value):
+    with pytest.raises(TypeError):
+        dumps_json(value)
+
+
+def test_atomic_write_fsyncs_the_directory_after_the_replace(tmp_path, monkeypatch):
+    """Payload durable, then renamed, then the rename itself made durable."""
+    target = tmp_path / "out.json"
+    steps = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        steps.append(("dir" if stat.S_ISDIR(info.st_mode) else "file", info.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        steps.append(("replace", None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(repro.ioutil.os, "fsync", fsync)
+    monkeypatch.setattr(repro.ioutil.os, "replace", replace)
+    atomic_write_text(target, OLD)
+    assert steps == [
+        ("file", target.stat().st_ino),
+        ("replace", None),
+        ("dir", tmp_path.stat().st_ino),
+    ]

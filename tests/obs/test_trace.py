@@ -148,6 +148,18 @@ def test_dumped_lines_are_independent_json(tmp_path):
         json.loads(line)
 
 
+def test_dump_bytes_match_per_event_json_dumps(tmp_path):
+    """One shared encoder writes what ``json.dumps(event, default=str)`` did."""
+    tracer = Tracer()
+    tracer.event("e", path=tmp_path, value=0.1, label="\u00e9")
+    with tracer.span("s", n=3):
+        pass
+    path = tmp_path / "trace.jsonl"
+    tracer.dump(path)
+    want = "".join(json.dumps(event, default=str) + "\n" for event in tracer.events)
+    assert path.read_text() == want
+
+
 def test_dump_overwrites_by_default(tmp_path):
     path = tmp_path / "trace.jsonl"
     first = Tracer()
