@@ -40,6 +40,12 @@ DIR`` to deploy a detector previously saved by ``train`` instead of
 refitting: the compiled artifact is mmap-loaded, so startup performs
 zero fits (the trace shows a ``cli.load_model`` span where ``cli.fit``
 would be).
+
+``monitor``/``fleet``/``serve`` share one flag set and one deploy path:
+each records its flags as a run_meta
+(:func:`repro.core.deploy.deploy_meta`), builds its detector and hosts
+from that dict (:func:`repro.core.deploy.deploy`), and archives the
+same dict, which ``replay`` deploys again.
 """
 
 from __future__ import annotations
@@ -72,8 +78,10 @@ from repro.core import (
     RuntimeMonitor,
 )
 from repro.core.config import ENSEMBLE_MODES
+from repro.core.deploy import DEPLOY_KEYS, deploy, deploy_meta, pool_seed
 from repro.features import rank_features
 from repro.hpc import ContainerPool, FaultPlan, ServiceFaultPlan
+from repro.ioutil import atomic_write_text
 from repro.ml import app_level_split
 from repro.obs import (
     Archive,
@@ -104,9 +112,8 @@ from repro.obs import (
     span_table,
 )
 from repro.registry import ModelRegistry, RegistryError
-from repro.serve import DetectionService, ServeJob, replay_segment, serve_run_meta
+from repro.serve import DetectionService, replay_segment, serve_jobs
 from repro.workloads import BENIGN_FAMILIES, MALWARE_FAMILIES, default_corpus
-from repro.workloads.dataset import MALWARE
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
@@ -118,21 +125,6 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
 
 def _build_corpus(args: argparse.Namespace):
     return default_corpus(seed=args.seed, windows_per_app=args.windows)
-
-
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    """Registry warm-start flags shared by monitor/fleet/serve."""
-    parser.add_argument(
-        "--model-id", default=None, metavar="REF",
-        help="deploy a registry model (id, unique id prefix, or tag) "
-        "instead of fitting at startup; --classifier/--ensemble/--hpcs "
-        "are ignored",
-    )
-    parser.add_argument(
-        "--registry-dir", default="models", metavar="DIR",
-        help="model registry directory --model-id resolves against "
-        "(default: models)",
-    )
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -222,27 +214,6 @@ def cmd_models(args: argparse.Namespace) -> int:
             f"{', '.join(entry.tags)}"
         )
     return 0
-
-
-def _load_or_fit_detector(args: argparse.Namespace, tracer, split):
-    """Deploy a detector: registry warm-start when --model-id is given,
-    otherwise the usual fit-at-startup path.
-
-    The two paths emit distinct trace spans (``cli.load_model`` vs
-    ``cli.fit``) so a trace proves which one ran — the registry-smoke
-    CI job asserts the warm path performs zero fits.
-    """
-    if getattr(args, "model_id", None):
-        try:
-            registry = ModelRegistry(args.registry_dir)
-            with tracer.span("cli.load_model", ref=args.model_id):
-                detector = registry.load_detector(args.model_id)
-        except (OSError, RegistryError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        return detector
-    config = DetectorConfig(args.classifier, args.ensemble, args.hpcs)
-    with tracer.span("cli.fit", config=config.name):
-        return HMDDetector(config).fit(split.train)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -496,6 +467,38 @@ def _add_quality_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_deploy_args(parser: argparse.ArgumentParser) -> None:
+    """The flags ``monitor``/``fleet``/``serve`` share: every
+    :data:`~repro.core.deploy.DEPLOY_KEYS` field, then the observability,
+    health and quality groups."""
+    _add_corpus_args(parser)
+    parser.add_argument("--split-seed", type=int, default=7)
+    parser.add_argument("--classifier", default="REPTree", choices=CLASSIFIER_NAMES)
+    parser.add_argument("--ensemble", default="boosted", choices=ENSEMBLE_MODES)
+    parser.add_argument("--hpcs", type=int, default=4)
+    parser.add_argument(
+        "--model-id", default=None, metavar="REF",
+        help="deploy a registry model (id, unique id prefix, or tag) "
+        "instead of fitting at startup; --classifier/--ensemble/--hpcs "
+        "are ignored",
+    )
+    parser.add_argument(
+        "--registry-dir", default="models", metavar="DIR",
+        help="model registry directory --model-id resolves against "
+        "(default: models)",
+    )
+    parser.add_argument("--counters", type=int, default=4)
+    parser.add_argument(
+        "--vote-threshold", type=_vote_threshold, default=0.5,
+        help="flagged-window quorum that raises a malware verdict, in (0, 1]",
+    )
+    parser.add_argument("--stride", type=int, default=1,
+                        help="run every Nth family only")
+    _add_obs_args(parser)
+    _add_health_args(parser)
+    _add_quality_args(parser)
+
+
 class _RunObs:
     """One invocation's observability, built from its flags.
 
@@ -516,6 +519,17 @@ class _RunObs:
         self.metrics = Registry(enabled=bool(args.metrics_out) or archiving)
         self.health = self._health() if hasattr(args, "health_out") else None
         self.quality = self._quality() if hasattr(args, "quality_ref") else None
+
+    @property
+    def hooks(self) -> dict:
+        """The observability keywords ``RuntimeMonitor``, ``FleetMonitor``
+        and ``DetectionService`` accept."""
+        return {
+            "tracer": self.tracer,
+            "metrics": self.metrics,
+            "health": self.health,
+            "quality": self.quality,
+        }
 
     def _health(self) -> HealthEvaluator | None:
         args = self.args
@@ -693,54 +707,88 @@ def cmd_hardware(args: argparse.Namespace) -> int:
     return 0
 
 
+def _deploy(args: argparse.Namespace, command: str, **extras):
+    """``(obs, meta, detector, hosts)`` of one detection run: its
+    observability, then the run_meta it archives, then the deployment
+    built from that meta (:func:`repro.core.deploy.deploy`)."""
+    obs = _RunObs(args)
+    meta = deploy_meta(
+        command, **{key: getattr(args, key) for key in DEPLOY_KEYS}, **extras
+    )
+    try:
+        detector, hosts = deploy(meta, obs.tracer)
+    except (OSError, RegistryError) as exc:
+        raise SystemExit(f"error: {exc}") from exc
+    return obs, meta, detector, hosts
+
+
+def _label(is_malware: bool) -> str:
+    return "malware" if is_malware else "benign"
+
+
+#: Column header and row of the fleet/serve verdict tables.
+_VERDICT_HEADER = f"{'application':28s} {'truth':7s} {'verdict':7s} {'flagged':>7s}"
+
+
+def _verdict_row(truth: bool, verdict) -> str:
+    return (
+        f"{verdict.app_name:28s} {_label(truth):7s} "
+        f"{_label(verdict.is_malware):7s} {verdict.malware_fraction:>7.0%}"
+    )
+
+
+def _print_verdicts(
+    pairs, row, accuracy: str, header: str | None = None, notes=(), tail=""
+) -> None:
+    """Print ``row(truth, verdict)`` per ``(truth, verdict)`` pair under
+    ``header``, then ``notes``, then the ``accuracy: correct/total`` line
+    and its ``tail``.  ``pairs`` may be lazy, so each row prints as its
+    verdict lands."""
+    if header is not None:
+        print(header)
+    correct = total = 0
+    for truth, verdict in pairs:
+        correct += verdict.is_malware == truth
+        total += 1
+        print(row(truth, verdict))
+    for note in notes:
+        print(note)
+    print(f"\n{accuracy}: {correct}/{total}{tail}")
+
+
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Deploy a detector and stream fresh executions through it."""
-    obs = _RunObs(args)
-    with obs.tracer.span("cli.corpus"):
-        corpus = _build_corpus(args)
-    split = app_level_split(corpus, 0.7, seed=args.split_seed)
-    detector = _load_or_fit_detector(args, obs.tracer, split)
+    obs, meta, detector, hosts = _deploy(args, "monitor")
     monitor = RuntimeMonitor(
         detector,
         n_counters=args.counters,
         vote_threshold=args.vote_threshold,
-        tracer=obs.tracer,
-        metrics=obs.metrics,
-        health=obs.health,
-        quality=obs.quality,
+        **obs.hooks,
     )
-    pool = ContainerPool(seed=args.seed + 99)
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed + 100)
-    correct = 0
-    total = 0
+    pool = ContainerPool(seed=pool_seed(meta))
     with obs.tracer.span("cli.monitor"):
-        for family in (BENIGN_FAMILIES + MALWARE_FAMILIES)[:: args.stride]:
-            app = family.instantiate(rng)[0]
-            truth = family.label == MALWARE
-            verdict = monitor.monitor(app, args.windows, pool, is_malware=truth)
-            total += 1
-            correct += verdict.is_malware == truth
-            print(
-                f"{app.name:28s} truth={'malware' if truth else 'benign ':7s} "
-                f"verdict={'malware' if verdict.is_malware else 'benign ':7s} "
+        _print_verdicts(
+            (
+                (truth, monitor.monitor(app, args.windows, pool, is_malware=truth))
+                for app, truth in hosts
+            ),
+            lambda truth, verdict: (
+                f"{verdict.app_name:28s} truth={_label(truth):7s} "
+                f"verdict={_label(verdict.is_malware):7s} "
                 f"flagged={verdict.malware_fraction:.0%}"
-            )
-    print(f"\napplication-level accuracy: {correct}/{total}")
-    obs.finish()
+            ),
+            "application-level accuracy",
+        )
+    obs.finish(meta)
     return 0
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Monitor a fleet of fresh executions, optionally under faults."""
-    import numpy as np
-
-    obs = _RunObs(args)
-    with obs.tracer.span("cli.corpus"):
-        corpus = _build_corpus(args)
-    split = app_level_split(corpus, 0.7, seed=args.split_seed)
-    detector = _load_or_fit_detector(args, obs.tracer, split)
+    obs, meta, detector, hosts = _deploy(
+        args, "fleet", workers=args.fleet_workers, retries=args.retries,
+        faulted=args.faults is not None,
+    )
     faults = (
         FaultPlan(seed=args.seed + 123, **args.faults)
         if args.faults is not None
@@ -753,161 +801,69 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         vote_threshold=args.vote_threshold,
         faults=faults,
         retry=RetryPolicy(max_attempts=args.retries),
-        pool_seed=args.seed + 99,
-        tracer=obs.tracer,
-        metrics=obs.metrics,
-        health=obs.health,
-        quality=obs.quality,
+        pool_seed=pool_seed(meta),
+        **obs.hooks,
     )
-    rng = np.random.default_rng(args.seed + 100)
-    jobs = []
-    for family in (BENIGN_FAMILIES + MALWARE_FAMILIES)[:: args.stride]:
-        app = family.instantiate(rng)[0]
-        jobs.append(FleetJob(app, args.windows, family.label == MALWARE))
-    verdicts = fleet.monitor_fleet(jobs)
-    print(
-        f"{'application':28s} {'truth':7s} {'verdict':7s} "
-        f"{'flagged':>7s} {'conf':>5s} {'lost':>4s} degraded"
+    verdicts = fleet.monitor_fleet(
+        [FleetJob(app, args.windows, truth) for app, truth in hosts]
     )
-    correct = 0
-    for job, verdict in zip(jobs, verdicts):
-        truth = job.is_malware
-        correct += verdict.is_malware == truth
-        print(
-            f"{verdict.app_name:28s} {'malware' if truth else 'benign':7s} "
-            f"{'malware' if verdict.is_malware else 'benign':7s} "
-            f"{verdict.malware_fraction:>7.0%} {verdict.confidence:>5.2f} "
-            f"{verdict.n_windows_lost:>4d} {'yes' if verdict.degraded else 'no'}"
-        )
     degraded = sum(v.degraded for v in verdicts)
     lost = sum(v.n_windows_lost for v in verdicts)
     mean_conf = sum(v.confidence for v in verdicts) / len(verdicts) if verdicts else 0.0
-    print(
-        f"\nfleet accuracy: {correct}/{len(verdicts)}  "
-        f"degraded: {degraded}  windows lost: {lost}  "
-        f"mean confidence: {mean_conf:.2f}"
+    _print_verdicts(
+        zip((truth for _, truth in hosts), verdicts),
+        lambda truth, verdict: (
+            f"{_verdict_row(truth, verdict)} {verdict.confidence:>5.2f} "
+            f"{verdict.n_windows_lost:>4d} {'yes' if verdict.degraded else 'no'}"
+        ),
+        "fleet accuracy",
+        header=f"{_VERDICT_HEADER} {'conf':>5s} {'lost':>4s} degraded",
+        tail=f"  degraded: {degraded}  windows lost: {lost}  "
+        f"mean confidence: {mean_conf:.2f}",
     )
-    obs.finish(
-        {
-            "command": "fleet",
-            "seed": args.seed,
-            "windows": args.windows,
-            "split_seed": args.split_seed,
-            # the *deployed* detector's config — with --model-id the
-            # classifier/ensemble/hpcs flags are unused, so recording
-            # them would misdescribe the archived run
-            "classifier": detector.config.classifier,
-            "ensemble": detector.config.ensemble,
-            "hpcs": detector.config.n_hpcs,
-            "counters": args.counters,
-            "vote_threshold": args.vote_threshold,
-            "stride": args.stride,
-            "workers": args.fleet_workers,
-            "retries": args.retries,
-            "faulted": args.faults is not None,
-        },
-    )
+    obs.finish(meta)
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Stream executions through the long-running detection service."""
-    import numpy as np
-
-    obs = _RunObs(args)
-    with obs.tracer.span("cli.corpus"):
-        corpus = _build_corpus(args)
-    split = app_level_split(corpus, 0.7, seed=args.split_seed)
-    detector = _load_or_fit_detector(args, obs.tracer, split)
+    obs, meta, detector, hosts = _deploy(
+        args, "serve", rounds=args.rounds,
+        host_vote_windows=args.host_vote_windows, producers=args.producers,
+        workers=args.serve_workers, queue_depth=args.queue_depth,
+        drift=args.drift,
+    )
     faults = (
         ServiceFaultPlan(seed=args.seed + 321, **args.faults)
         if args.faults is not None
         else None
     )
-    service = DetectionService(
-        detector,
-        producers=args.producers,
-        workers=args.serve_workers,
-        queue_depth=args.queue_depth,
-        n_counters=args.counters,
-        vote_threshold=args.vote_threshold,
-        host_vote_windows=args.host_vote_windows,
-        faults=faults,
-        pool_seed=args.seed + 99,
-        tracer=obs.tracer,
-        metrics=obs.metrics,
-        health=obs.health,
-        quality=obs.quality,
-    )
-    rng = np.random.default_rng(args.seed + 100)
-    families = BENIGN_FAMILIES + MALWARE_FAMILIES
-    if args.drift:
-        # Shift the whole live workload toward the branchy cover profile
-        # — the detector stays frozen on its training distribution, so
-        # this is the injected-drift scenario the quality tracker exists
-        # to catch (and the quality-smoke CI job asserts on).
-        from repro.workloads import evasive_families
-
-        families = evasive_families(families, args.drift)
-    # Same host appears once per round, exercising the per-host sliding
-    # vote window across executions.
-    hosts = []
-    for family in families[:: args.stride]:
-        app = family.instantiate(rng)[0]
-        hosts.append((app, family.label == MALWARE))
-    jobs = [
-        ServeJob(app, args.windows, truth)
-        for _ in range(args.rounds)
-        for app, truth in hosts
-    ]
+    service = DetectionService.from_meta(detector, meta, faults=faults, **obs.hooks)
+    jobs = serve_jobs(meta, hosts)
     report = service.run(jobs)
     if len(report.verdicts) != len(jobs):  # pragma: no cover - invariant
         raise SystemExit(
             f"verdict totality violated: {len(report.verdicts)} verdicts "
             f"for {len(jobs)} executions"
         )
-    print(f"{'application':28s} {'truth':7s} {'verdict':7s} {'flagged':>7s}")
-    correct = 0
-    for job, verdict in zip(jobs, report.verdicts):
-        correct += verdict.is_malware == job.is_malware
-        print(
-            f"{verdict.app_name:28s} "
-            f"{'malware' if job.is_malware else 'benign':7s} "
-            f"{'malware' if verdict.is_malware else 'benign':7s} "
-            f"{verdict.malware_fraction:>7.0%}"
-        )
-    for alert in report.alerts:
-        print(
+    _print_verdicts(
+        zip((job.is_malware for job in jobs), report.verdicts),
+        _verdict_row,
+        "serve accuracy",
+        header=_VERDICT_HEADER,
+        notes=[
             f"ALERT host={alert['host']} flagged={alert['fraction']:.0%} "
             f"over last {alert['windows']} windows"
-        )
-    print(
-        f"\nserve accuracy: {correct}/{len(report.verdicts)}  "
-        f"windows: {report.n_windows}  "
+            for alert in report.alerts
+        ],
+        tail=f"  windows: {report.n_windows}  "
         f"throughput: {report.windows_per_second:.0f} windows/s\n"
         f"worker crashes: {report.worker_crashes}  "
         f"recovered windows: {report.recovered_windows}  "
         f"backpressure waits: {report.backpressure_waits}  "
-        f"host alerts: {len(report.alerts)}"
+        f"host alerts: {len(report.alerts)}",
     )
-    obs.finish(
-        serve_run_meta(
-            seed=args.seed,
-            windows=args.windows,
-            split_seed=args.split_seed,
-            classifier=detector.config.classifier,
-            ensemble=detector.config.ensemble,
-            hpcs=detector.config.n_hpcs,
-            counters=args.counters,
-            vote_threshold=args.vote_threshold,
-            stride=args.stride,
-            rounds=args.rounds,
-            host_vote_windows=args.host_vote_windows,
-            producers=args.producers,
-            workers=args.serve_workers,
-            queue_depth=args.queue_depth,
-        ),
-    )
+    obs.finish(meta)
     return 0
 
 
@@ -921,8 +877,10 @@ def cmd_verilog(args: argparse.Namespace) -> int:
     detector = HMDDetector(config).fit(split.train)
     text = generate(detector.model, name=args.module)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            atomic_write_text(args.output, text)
+        except OSError as exc:
+            raise SystemExit(f"error: {exc}") from exc
         print(f"wrote {args.output}")
     else:
         print(text)
@@ -1048,7 +1006,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             workers=args.serve_workers,
             queue_depth=args.queue_depth,
         )
-    except (OSError, ValueError, ArchiveError) as exc:
+    except (OSError, ValueError, ArchiveError, RegistryError) as exc:
         raise SystemExit(f"error: {exc}") from exc
     print(
         f"replayed segment {result.segment_id[:12]} x{result.repeat}: "
@@ -1277,36 +1235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hardware)
 
     p = sub.add_parser("monitor", help="run-time detection demo")
-    _add_corpus_args(p)
-    p.add_argument("--split-seed", type=int, default=7)
-    p.add_argument("--classifier", default="REPTree", choices=CLASSIFIER_NAMES)
-    p.add_argument("--ensemble", default="boosted", choices=ENSEMBLE_MODES)
-    p.add_argument("--hpcs", type=int, default=4)
-    _add_model_args(p)
-    p.add_argument("--counters", type=int, default=4)
-    p.add_argument("--vote-threshold", type=_vote_threshold, default=0.5,
-                   help="flagged-window fraction that raises the alarm, in (0, 1]")
-    p.add_argument("--stride", type=int, default=1,
-                   help="monitor every Nth family only")
-    _add_obs_args(p)
-    _add_health_args(p)
-    _add_quality_args(p)
+    _add_deploy_args(p)
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser(
         "fleet", help="fault-tolerant fleet monitoring with fault injection"
     )
-    _add_corpus_args(p)
-    p.add_argument("--split-seed", type=int, default=7)
-    p.add_argument("--classifier", default="REPTree", choices=CLASSIFIER_NAMES)
-    p.add_argument("--ensemble", default="boosted", choices=ENSEMBLE_MODES)
-    p.add_argument("--hpcs", type=int, default=4)
-    _add_model_args(p)
-    p.add_argument("--counters", type=int, default=4)
-    p.add_argument("--vote-threshold", type=_vote_threshold, default=0.5,
-                   help="flagged-window quorum over surviving windows, in (0, 1]")
-    p.add_argument("--stride", type=int, default=1,
-                   help="monitor every Nth family only")
+    _add_deploy_args(p)
     p.add_argument("--fleet-workers", type=_positive_int, default=4,
                    help="monitoring threads (1 = serial)")
     p.add_argument("--faults", type=_fault_rates, default=None, metavar="SPEC",
@@ -1314,26 +1249,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "permanent=0.01 (rates in [0, 1]; omit for a pristine run)")
     p.add_argument("--retries", type=_positive_int, default=3, metavar="N",
                    help="max attempts per application on transient faults")
-    _add_obs_args(p)
-    _add_health_args(p)
-    _add_quality_args(p)
     _add_archive_args(p)
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser(
         "serve", help="streaming detection service over bounded queues"
     )
-    _add_corpus_args(p)
-    p.add_argument("--split-seed", type=int, default=7)
-    p.add_argument("--classifier", default="REPTree", choices=CLASSIFIER_NAMES)
-    p.add_argument("--ensemble", default="boosted", choices=ENSEMBLE_MODES)
-    p.add_argument("--hpcs", type=int, default=4)
-    _add_model_args(p)
-    p.add_argument("--counters", type=int, default=4)
-    p.add_argument("--vote-threshold", type=_vote_threshold, default=0.5,
-                   help="flagged-window quorum for verdicts and host alerts")
-    p.add_argument("--stride", type=int, default=1,
-                   help="stream every Nth family only")
+    _add_deploy_args(p)
     p.add_argument("--rounds", type=_positive_int, default=1,
                    help="times each host executes (exercises the per-host "
                    "sliding vote window)")
@@ -1354,9 +1276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shift the whole live workload toward a benign "
                    "cover profile at this evasion strength in [0, 1] "
                    "(injected model drift; 0 = stationary)")
-    _add_obs_args(p)
-    _add_health_args(p)
-    _add_quality_args(p)
     _add_archive_args(p)
     p.set_defaults(func=cmd_serve)
 

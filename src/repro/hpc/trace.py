@@ -25,6 +25,7 @@ import numpy as np
 from repro.hpc.lxc import ContainerPool
 from repro.hpc.microarch import DEFAULT_WINDOW_MS, ApplicationBehavior
 from repro.hpc.perf import BatchedCollection
+from repro.ioutil import atomic_write_text
 
 _FORMAT = "repro-hpc-trace-v1"
 
@@ -65,19 +66,18 @@ class TraceRecording:
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Write the recording as self-describing JSONL."""
-        path = Path(path)
-        with path.open("w") as handle:
-            header = {
-                "format": _FORMAT,
-                "app_name": self.app_name,
-                "events": list(self.events),
-                "window_ms": self.window_ms,
-                "n_runs": self.n_runs,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for row in self.samples:
-                handle.write(json.dumps([float(v) for v in row]) + "\n")
+        """Write the recording as self-describing JSONL, atomically: a
+        failed save leaves the previous file at ``path`` intact."""
+        header = {
+            "format": _FORMAT,
+            "app_name": self.app_name,
+            "events": list(self.events),
+            "window_ms": self.window_ms,
+            "n_runs": self.n_runs,
+        }
+        lines = [json.dumps(header)]
+        lines += [json.dumps([float(v) for v in row]) for row in self.samples]
+        atomic_write_text(path, "".join(line + "\n" for line in lines))
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceRecording":

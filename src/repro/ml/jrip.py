@@ -276,64 +276,31 @@ class JRip(Classifier):
     ) -> tuple[Condition, float] | None:
         """Best single condition by FOIL gain over current coverage.
 
-        Every attribute's ``<=`` columns are packed into one boolean
-        matrix so a single ``weights @ matrix`` product replaces one
-        product per attribute (a contiguous column block of a matvec is
-        bitwise the standalone product).  Candidate gains are then laid
-        out in per-attribute visit order — ``<=`` block then ``>`` block
-        — so a first ``argmax`` reproduces a running strict-``>`` best
-        update exactly.
+        Per attribute, one ``<=`` coverage matrix and two weight products
+        score every threshold both ways; a running strict-``>`` best
+        update keeps the first maximum in attribute, ``<=``-then-``>``
+        visit order.
         """
         p0 = float(weights[positives].sum())
         n0 = float(weights[~positives].sum())
         if p0 <= 0:
             return None
-        per_attr: list[tuple[int, np.ndarray]] = []
-        total = 0
+        wpos = weights * positives
+        wneg = weights * (~positives)
+        best: tuple[Condition, float] | None = None
         for j in range(features.shape[1]):
             thresholds = _attribute_thresholds(features[:, j])
             if thresholds is None:
                 continue
-            per_attr.append((j, thresholds))
-            total += thresholds.size
-        if total == 0:
-            return None
-        le = np.empty((features.shape[0], total), dtype=bool)
-        offset = 0
-        for j, thresholds in per_attr:
-            le[:, offset : offset + thresholds.size] = (
-                features[:, j][:, None] <= thresholds[None, :]
-            )
-            offset += thresholds.size
-        wpos = weights * positives
-        wneg = weights * (~positives)
-        p_le = wpos @ le
-        n_le = wneg @ le
-        gains_le = _foil_gain(p0, n0, p_le, n_le)
-        gains_gt = _foil_gain(p0, n0, p0 - p_le, n0 - n_le)
-        # reference visit order: per attribute, all "<=" then all ">"
-        ordered = np.empty(2 * total)
-        offset = 0
-        for j, thresholds in per_attr:
-            size = thresholds.size
-            ordered[2 * offset : 2 * offset + size] = gains_le[offset : offset + size]
-            ordered[2 * offset + size : 2 * (offset + size)] = gains_gt[
-                offset : offset + size
-            ]
-            offset += size
-        k = int(np.argmax(ordered))
-        if ordered[k] <= _EPS:
-            return None
-        offset = 0
-        for j, thresholds in per_attr:
-            size = thresholds.size
-            if k < 2 * (offset + size):
-                in_attr = k - 2 * offset
-                op = "<=" if in_attr < size else ">"
-                threshold = thresholds[in_attr % size]
-                return (Condition(j, op, float(threshold)), float(ordered[k]))
-            offset += size
-        raise AssertionError("argmax index out of candidate range")
+            le = features[:, j][:, None] <= thresholds[None, :]
+            p_le = wpos @ le
+            n_le = wneg @ le
+            for op, p1, n1 in (("<=", p_le, n_le), (">", p0 - p_le, n0 - n_le)):
+                gains = _foil_gain(p0, n0, p1, n1)
+                k = int(np.argmax(gains))
+                if gains[k] > _EPS and (best is None or gains[k] > best[1]):
+                    best = (Condition(j, op, float(thresholds[k])), float(gains[k]))
+        return best
 
     def _grow_rule(
         self, features: np.ndarray, labels: np.ndarray, weights: np.ndarray

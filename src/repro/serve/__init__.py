@@ -16,11 +16,9 @@ from repro.serve.replay import (
     ReplayMismatchError,
     ReplayResult,
     archived_wall_seconds,
-    build_serve_workload,
     replay_segment,
-    serve_run_meta,
 )
-from repro.serve.service import DetectionService, ServeJob, ServiceReport
+from repro.serve.service import DetectionService, ServeJob, ServiceReport, serve_jobs
 
 __all__ = [
     "Bus",
@@ -35,7 +33,6 @@ __all__ = [
     "WindowClosed",
     "WindowFrame",
     "archived_wall_seconds",
-    "build_serve_workload",
     "replay_segment",
-    "serve_run_meta",
+    "serve_jobs",
 ]

@@ -1,13 +1,15 @@
 """Capacity-planning replay: re-drive the service from archived traffic.
 
 An archived ``serve`` segment (see :mod:`repro.obs.archive`) carries the
-run's workload parameters in its manifest ``run_meta``, so the exact
-job stream can be reconstructed — same corpus seed, same train/test
-split, same family stride and round count, same per-execution container
-pool seeds.  :func:`replay_segment` rebuilds that workload, streams it
-through a fresh :class:`~repro.serve.service.DetectionService` (with
-optionally scaled producer/worker/queue geometry), and compares every
-replayed verdict bit-for-bit against the archived columns.
+run's manifest ``run_meta``, the same dict the run built its own
+deployment from (:mod:`repro.core.deploy`): corpus seed, train/test
+split, the fitted config or registry model, family stride and drift,
+round count, per-execution container pool seeds.  :func:`replay_segment`
+deploys from it again, streams the job list through
+:meth:`~repro.serve.service.DetectionService.from_meta` (with optionally
+scaled producer/worker/queue geometry substituted into the meta), and
+compares every replayed verdict bit-for-bit against the archived
+columns.
 
 Two uses:
 
@@ -31,16 +33,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.config import DetectorConfig
-from repro.core.detector import HMDDetector
+from repro.core.deploy import deploy
 from repro.core.runtime import detection_latency_windows
-from repro.ml import app_level_split
 from repro.obs.archive import Archive, ArchiveError, SegmentData
-from repro.serve.service import DetectionService, ServeJob
-from repro.workloads import BENIGN_FAMILIES, MALWARE_FAMILIES, default_corpus
-from repro.workloads.dataset import MALWARE
+from repro.serve.service import DetectionService, serve_jobs
 
 
 class ReplayError(ArchiveError):
@@ -49,98 +45,6 @@ class ReplayError(ArchiveError):
 
 class ReplayMismatchError(ReplayError):
     """A replayed verdict differed from the archived record at 1×."""
-
-
-#: run_meta keys replay needs to rebuild the workload and detector.
-REQUIRED_META = (
-    "seed",
-    "windows",
-    "split_seed",
-    "classifier",
-    "ensemble",
-    "hpcs",
-    "counters",
-    "vote_threshold",
-    "stride",
-    "rounds",
-    "host_vote_windows",
-)
-
-
-def serve_run_meta(
-    *,
-    seed: int,
-    windows: int,
-    split_seed: int,
-    classifier: str,
-    ensemble: str,
-    hpcs: int,
-    counters: int,
-    vote_threshold: float,
-    stride: int,
-    rounds: int,
-    host_vote_windows: int,
-    producers: int,
-    workers: int,
-    queue_depth: int,
-) -> dict:
-    """The manifest ``run_meta`` dict a replayable ``serve`` run records."""
-    return {
-        "command": "serve",
-        "seed": int(seed),
-        "windows": int(windows),
-        "split_seed": int(split_seed),
-        "classifier": str(classifier),
-        "ensemble": str(ensemble),
-        "hpcs": int(hpcs),
-        "counters": int(counters),
-        "vote_threshold": float(vote_threshold),
-        "stride": int(stride),
-        "rounds": int(rounds),
-        "host_vote_windows": int(host_vote_windows),
-        "producers": int(producers),
-        "workers": int(workers),
-        "queue_depth": int(queue_depth),
-    }
-
-
-def build_serve_workload(run_meta: dict) -> tuple[HMDDetector, list[ServeJob]]:
-    """Reconstruct the detector and job stream a ``serve`` run executed.
-
-    Mirrors ``repro-hmd serve`` exactly: corpus from ``seed``/``windows``,
-    70/30 app-level split on ``split_seed``, detector fitted on the train
-    half, and one job per family (strided) per round with the family rng
-    seeded ``seed + 100``.
-    """
-    missing = [key for key in REQUIRED_META if key not in run_meta]
-    if missing:
-        raise ReplayError(
-            f"run_meta is missing replay keys: {', '.join(missing)}"
-        )
-    if run_meta.get("command") != "serve":
-        raise ReplayError(
-            f"only 'serve' runs can be replayed, got "
-            f"{run_meta.get('command')!r}"
-        )
-    corpus = default_corpus(
-        seed=int(run_meta["seed"]), windows_per_app=int(run_meta["windows"])
-    )
-    split = app_level_split(corpus, 0.7, seed=int(run_meta["split_seed"]))
-    config = DetectorConfig(
-        run_meta["classifier"], run_meta["ensemble"], int(run_meta["hpcs"])
-    )
-    detector = HMDDetector(config).fit(split.train)
-    rng = np.random.default_rng(int(run_meta["seed"]) + 100)
-    hosts = []
-    for family in (BENIGN_FAMILIES + MALWARE_FAMILIES)[:: int(run_meta["stride"])]:
-        app = family.instantiate(rng)[0]
-        hosts.append((app, family.label == MALWARE))
-    jobs = [
-        ServeJob(app, int(run_meta["windows"]), truth)
-        for _ in range(int(run_meta["rounds"]))
-        for app, truth in hosts
-    ]
-    return detector, jobs
 
 
 @dataclass(frozen=True)
@@ -250,7 +154,18 @@ def replay_segment(
             raise ReplayError("archive holds no replayable 'serve' segments")
         entry = candidates[-1]
     run_meta = entry.get("run_meta") or {}
-    detector, jobs = build_serve_workload(run_meta)
+    if run_meta.get("command") != "serve":
+        raise ReplayError(
+            f"only 'serve' runs can be replayed, got {run_meta.get('command')!r}"
+        )
+    geometry = {
+        "producers": producers, "workers": workers, "queue_depth": queue_depth
+    }
+    meta = dict(
+        run_meta, **{key: v for key, v in geometry.items() if v is not None}
+    )
+    detector, hosts = deploy(meta)
+    jobs = serve_jobs(meta, hosts)
     segment = archive.load_segment(entry)
     archived = _archived_rows(segment)
     if len(archived) != len(jobs):
@@ -258,19 +173,7 @@ def replay_segment(
             f"segment {entry['segment_id'][:12]} archives {len(archived)} "
             f"verdicts but the reconstructed workload has {len(jobs)} jobs"
         )
-    service = DetectionService(
-        detector,
-        producers=int(producers if producers is not None
-                      else run_meta.get("producers", 1)),
-        workers=int(workers if workers is not None
-                    else run_meta.get("workers", 1)),
-        queue_depth=int(queue_depth if queue_depth is not None
-                        else run_meta.get("queue_depth", 64)),
-        n_counters=int(run_meta["counters"]),
-        vote_threshold=float(run_meta["vote_threshold"]),
-        host_vote_windows=int(run_meta["host_vote_windows"]),
-        pool_seed=int(run_meta["seed"]) + 99,
-    )
+    service = DetectionService.from_meta(detector, meta)
     matched = 0
     n_windows = 0
     started = time.perf_counter()

@@ -70,6 +70,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.deploy import pool_seed
 from repro.core.detector import HMDDetector
 from repro.core.runtime import (
     DetectionVerdict,
@@ -117,6 +118,18 @@ class ServeJob:
     @property
     def host_name(self) -> str:
         return self.host if self.host is not None else self.app.name
+
+
+def serve_jobs(
+    meta: dict, hosts: Sequence[tuple[ApplicationBehavior, bool]]
+) -> list[ServeJob]:
+    """The job stream of a ``serve`` run_meta: every host once per round,
+    so each host's sliding vote window spans its executions."""
+    return [
+        ServeJob(app, int(meta["windows"]), truth)
+        for _ in range(int(meta["rounds"]))
+        for app, truth in hosts
+    ]
 
 
 @dataclass
@@ -291,6 +304,24 @@ class DetectionService:
         self._c_backpressure = self.metrics.counter(
             "serve_backpressure_waits_total",
             "publishes that blocked on a full channel",
+        )
+
+    @classmethod
+    def from_meta(
+        cls, detector: HMDDetector, meta: dict, **kwargs
+    ) -> "DetectionService":
+        """The service a ``serve`` run_meta (:mod:`repro.core.deploy`)
+        describes; ``kwargs`` add faults and observability hooks."""
+        return cls(
+            detector,
+            producers=int(meta["producers"]),
+            workers=int(meta["workers"]),
+            queue_depth=int(meta["queue_depth"]),
+            n_counters=int(meta["counters"]),
+            vote_threshold=float(meta["vote_threshold"]),
+            host_vote_windows=int(meta["host_vote_windows"]),
+            pool_seed=pool_seed(meta),
+            **kwargs,
         )
 
     # -- producers ------------------------------------------------------

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,29 @@ from repro.ml.validation import app_level_split
 from repro.workloads.benign import BENIGN_FAMILIES
 from repro.workloads.corpus import CorpusBuilder
 from repro.workloads.malware import MALWARE_FAMILIES
+
+
+@pytest.fixture(scope="session")
+def capped_python():
+    """Run Python source in a child process whose file writes fail with
+    ``EFBIG`` ("File too large") past ``limit`` bytes: a disk filling up
+    in the middle of a write.  Returns the completed process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def run(code: str, limit: int) -> subprocess.CompletedProcess:
+        prelude = (
+            "import resource\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", prelude + code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")

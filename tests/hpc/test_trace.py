@@ -54,6 +54,29 @@ def test_save_load_round_trip(recording, tmp_path):
     np.testing.assert_allclose(loaded.samples, recording.samples)
 
 
+def test_failed_save_keeps_the_previous_recording(
+    recording, tmp_path, capped_python
+):
+    """A save that dies mid-write (the file-size limit stands in for a
+    full disk) leaves the previous recording whole and no temp file."""
+    path = tmp_path / "trace.jsonl"
+    recording.save(path)
+    before = path.read_bytes()
+    longer = tmp_path / "longer.jsonl"
+    TraceRecording(
+        recording.app_name, recording.events, recording.window_ms,
+        recording.n_runs, np.tile(recording.samples, (4, 1)),
+    ).save(longer)
+    result = capped_python(
+        "from repro.hpc.trace import TraceRecording\n"
+        f"TraceRecording.load({str(longer)!r}).save({str(path)!r})\n",
+        limit=len(before) // 2,
+    )
+    assert "File too large" in result.stderr
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["longer.jsonl", "trace.jsonl"]
+
+
 def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"format": "something-else"}\n')

@@ -78,6 +78,22 @@ def test_verilog_command(capsys, tmp_path):
     assert "monitored events" in capsys.readouterr().out
 
 
+def test_verilog_failed_write_keeps_previous_output(tmp_path, capped_python):
+    """``--output`` writes atomically: a write that dies mid-way (the
+    file-size limit stands in for a full disk) is a clean error and the
+    previous RTL stays whole."""
+    out = tmp_path / "detector.v"
+    out.write_text("// previous RTL\n")
+    args = ["verilog", *FAST, "--classifier", "OneR", "--hpcs", "2",
+            "--output", str(out)]
+    result = capped_python(
+        f"from repro.cli import main\nmain({args!r})\n", limit=8
+    )
+    assert out.read_text() == "// previous RTL\n"
+    assert "error: [Errno 27] File too large" in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["detector.v"]
+
+
 def test_verilog_to_stdout(capsys):
     rc = main(["verilog", *FAST, "--classifier", "JRip", "--hpcs", "2",
                "--module", "custom_name"])
@@ -507,6 +523,21 @@ def test_serve_archive_report_replay_roundtrip(capsys, tmp_path):
     assert rc == 0
     out = capsys.readouterr().out
     assert "6 verdicts matched bit-identical" in out
+
+
+def test_serve_drift_run_replays_bit_identically(capsys, tmp_path):
+    """run_meta records ``drift``, so replay rebuilds the shifted hosts."""
+    archive_dir = tmp_path / "arch"
+    rc = main([
+        "serve", *FAST, "--stride", "3", "--drift", "0.8",
+        "--archive-dir", str(archive_dir),
+    ])
+    assert rc == 0
+    served = capsys.readouterr().out
+    assert "evasive80" in served
+    rc = main(["replay", "--archive-dir", str(archive_dir)])
+    assert rc == 0
+    assert "6 verdicts matched bit-identical" in capsys.readouterr().out
 
 
 def test_fleet_archive_dir_alone_enables_obs_and_reports(capsys, tmp_path):

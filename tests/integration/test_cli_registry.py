@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -119,6 +120,33 @@ def test_fleet_with_model_id_archives_deployed_config(tmp_path, capsys):
     assert meta["classifier"] == "REPTree"
     assert meta["ensemble"] == "boosted"
     assert meta["hpcs"] == 2
+
+
+def test_registry_deployed_serve_replays_the_deployed_model(tmp_path, capsys):
+    """A model trained on another corpus seed is what replay redeploys:
+    run_meta records its full id and registry, not the serve corpus."""
+    registry_dir = tmp_path / "registry"
+    assert main([
+        "train", "--windows", "8", "--seed", "5", *CONFIG,
+        "--registry-dir", str(registry_dir), "--tag", "prod",
+    ]) == 0
+    model_id = re.search(r"saved model ([0-9a-f]{64})", capsys.readouterr().out)
+    archive = tmp_path / "archive"
+    assert main([
+        "serve", *FAST, "--stride", "3",
+        "--registry-dir", str(registry_dir), "--model-id", "prod",
+        "--archive-dir", str(archive),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--archive-dir", str(archive)]) == 0
+    assert "6 verdicts matched bit-identical" in capsys.readouterr().out
+    manifest = json.loads((archive / "manifest.json").read_text())
+    (segment,) = manifest["segments"]
+    assert segment["run_meta"]["model_id"] == model_id.group(1)
+    # without the registry the deployed model is gone: a clean error
+    shutil.rmtree(registry_dir)
+    with pytest.raises(SystemExit, match="no model matches"):
+        main(["replay", "--archive-dir", str(archive)])
 
 
 def test_missing_model_is_a_clean_cli_error(tmp_path):

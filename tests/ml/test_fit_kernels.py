@@ -166,21 +166,20 @@ def test_retired_ml_swaps_every_fit_path_and_restores_it():
     def paths():
         return (
             discretize._best_cut, tree.find_split, jrip._prefix_coverage,
-            vars(OneR)["_sweep"], vars(JRip)["_candidate_conditions"],
-            vars(MLP)["_train"], vars(SGD)["_train"], vars(SMO)["_fit_linear"],
-            vars(REPTree)["_accumulate_prune_counts"],
+            vars(OneR)["_sweep"], vars(MLP)["_train"], vars(SGD)["_train"],
+            vars(SMO)["_fit_linear"], vars(REPTree)["_accumulate_prune_counts"],
         )
 
     shipped = paths()
     with retired_ml():
         retired = paths()
-        assert retired[:8] == (
+        assert retired[:7] == (
             oracle.best_cut_scalar, oracle.find_split_scalar,
             oracle.jrip_prefix_coverage_scalar, oracle.oner_sweep_scalar,
-            oracle.jrip_candidate_conditions_scalar, oracle.mlp_train_scalar,
-            oracle.sgd_train_scalar, oracle.smo_fit_linear_scalar,
+            oracle.mlp_train_scalar, oracle.sgd_train_scalar,
+            oracle.smo_fit_linear_scalar,
         )
-        assert retired[8].__func__ is oracle.accumulate_prune_counts_scalar
+        assert retired[7].__func__ is oracle.accumulate_prune_counts_scalar
     assert paths() == shipped
 
 

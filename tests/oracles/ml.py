@@ -15,11 +15,10 @@ through both and assert byte-equal parameters and predictions.
   held-out row (reference for ``REPTree._accumulate_prune_counts``).
 * :func:`oner_sweep_scalar` — a run-by-run bucket scan
   (reference for ``OneR._sweep``).
-* :func:`jrip_candidate_conditions_scalar`,
-  :func:`jrip_prefix_coverage_scalar` and :func:`jrip_counts_scalar` —
-  per-attribute products, one ``covers`` conjunction per condition and
-  per-rule mask loops (references for ``JRip._candidate_conditions``,
-  ``jrip._prefix_coverage`` and ``CompiledRuleList.apply``).
+* :func:`jrip_prefix_coverage_scalar` and :func:`jrip_counts_scalar` —
+  one ``covers`` conjunction per condition and per-rule mask loops
+  (references for ``jrip._prefix_coverage`` and
+  ``CompiledRuleList.apply``).
 * :func:`mlp_train_scalar`, :func:`sgd_train_scalar` and
   :func:`smo_fit_linear_scalar` — the pre-optimization epoch and
   working-set loops (references for ``MLP._train``, ``SGD._train`` and
@@ -40,7 +39,7 @@ import numpy as np
 
 from repro.ml import discretize, jrip, tree
 from repro.ml.discretize import _entropy
-from repro.ml.jrip import JRip, _attribute_thresholds, _foil_gain
+from repro.ml.jrip import JRip
 from repro.ml.mlp import MLP, _sigmoid
 from repro.ml.oner import OneR
 from repro.ml.reptree import REPTree
@@ -213,33 +212,6 @@ def oner_sweep_scalar(self: OneR, cum0: np.ndarray, cum1: np.ndarray) -> list[in
 
 
 # -- JRip --------------------------------------------------------------
-def jrip_candidate_conditions_scalar(
-    self: JRip, features: np.ndarray, positives: np.ndarray, weights: np.ndarray
-) -> tuple[jrip.Condition, float] | None:
-    """Per-attribute coverage products: one ``<=`` matrix and two weight
-    products per attribute, with a running strict-``>`` best update."""
-    p0 = float(weights[positives].sum())
-    n0 = float(weights[~positives].sum())
-    if p0 <= 0:
-        return None
-    best: tuple[jrip.Condition, float] | None = None
-    for j in range(features.shape[1]):
-        thresholds = _attribute_thresholds(features[:, j])
-        if thresholds is None:
-            continue
-        le = features[:, j][:, None] <= thresholds[None, :]
-        wpos = weights * positives
-        wneg = weights * (~positives)
-        p_le = wpos @ le
-        n_le = wneg @ le
-        for op, p1, n1 in (("<=", p_le, n_le), (">", p0 - p_le, n0 - n_le)):
-            gains = _foil_gain(p0, n0, p1, n1)
-            k = int(np.argmax(gains))
-            if gains[k] > _EPS and (best is None or gains[k] > best[1]):
-                best = (jrip.Condition(j, op, float(thresholds[k])), float(gains[k]))
-    return best
-
-
 def jrip_prefix_coverage_scalar(
     conditions: list[jrip.Condition], features: np.ndarray
 ) -> np.ndarray:
@@ -402,7 +374,6 @@ def retired_ml() -> Iterator[None]:
         raise LookupError(f"no shipped path to retire for {sorted(unpatched)}")
     methods = (
         (OneR, "_sweep", oner_sweep_scalar),
-        (JRip, "_candidate_conditions", jrip_candidate_conditions_scalar),
         (MLP, "_train", mlp_train_scalar),
         (SGD, "_train", sgd_train_scalar),
         (SMO, "_fit_linear", smo_fit_linear_scalar),

@@ -1,49 +1,38 @@
-"""Replay: workload reconstruction, 1x bit-identity, capacity math."""
+"""Replay: deployment from run_meta, 1x bit-identity, capacity math."""
 
 import pytest
 
+from repro.core.deploy import deploy, deploy_meta
 from repro.obs import Tracer
 from repro.obs.archive import Archive, normalize_events
-from repro.serve import DetectionService
+from repro.serve import DetectionService, serve_jobs
 from repro.serve.replay import (
     ReplayError,
     ReplayMismatchError,
     ReplayResult,
     archived_wall_seconds,
-    build_serve_workload,
     replay_segment,
-    serve_run_meta,
 )
 
-RUN_META = serve_run_meta(
-    seed=11, windows=6, split_seed=7, classifier="REPTree",
-    ensemble="general", hpcs=4, counters=4, vote_threshold=0.5,
-    stride=7, rounds=2, host_vote_windows=4,
-    producers=1, workers=1, queue_depth=8,
+RUN_META = deploy_meta(
+    "serve", seed=11, windows=6, split_seed=7, classifier="REPTree",
+    ensemble="general", hpcs=4, model_id=None, registry_dir=None,
+    counters=4, vote_threshold=0.5, stride=7, rounds=2, host_vote_windows=4,
+    producers=1, workers=1, queue_depth=8, drift=0.0,
 )
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_serve_workload(RUN_META)
+    detector, hosts = deploy(dict(RUN_META))
+    return detector, serve_jobs(RUN_META, hosts)
 
 
 def archived_run(root, workload, run_meta=RUN_META, tamper=None):
     """Run the workload through the service and archive its trace."""
     detector, jobs = workload
     tracer = Tracer()
-    service = DetectionService(
-        detector,
-        producers=run_meta["producers"],
-        workers=run_meta["workers"],
-        queue_depth=run_meta["queue_depth"],
-        n_counters=run_meta["counters"],
-        vote_threshold=run_meta["vote_threshold"],
-        host_vote_windows=run_meta["host_vote_windows"],
-        pool_seed=run_meta["seed"] + 99,
-        tracer=tracer,
-    )
-    service.run(jobs)
+    DetectionService.from_meta(detector, run_meta, tracer=tracer).run(jobs)
     archive = Archive(root)
     verdicts, alerts, spans = normalize_events(tracer.events)
     if tamper is not None:
@@ -59,7 +48,7 @@ def archived(tmp_path_factory, workload):
     return archived_run(tmp_path_factory.mktemp("arch"), workload)
 
 
-def test_build_serve_workload_matches_meta(workload):
+def test_deploy_builds_the_serve_workload(workload):
     detector, jobs = workload
     # stride 7 over the family list, twice (rounds=2)
     assert len(jobs) % RUN_META["rounds"] == 0
@@ -69,13 +58,66 @@ def test_build_serve_workload_matches_meta(workload):
     assert [j.host_name for j in jobs[:half]] == [
         j.host_name for j in jobs[half:]
     ]
+    assert detector.config.name == "4HPC-REPTree"
 
 
-def test_build_serve_workload_rejects_missing_or_foreign_meta():
-    with pytest.raises(ReplayError, match="missing"):
-        build_serve_workload({"command": "serve", "seed": 1})
-    with pytest.raises(ReplayError, match="only 'serve'"):
-        build_serve_workload(dict(RUN_META, command="fleet"))
+def test_deploy_meta_pins_the_schema():
+    assert list(RUN_META) == [
+        "command", "seed", "windows", "split_seed", "classifier", "ensemble",
+        "hpcs", "model_id", "registry_dir", "counters", "vote_threshold",
+        "stride", "rounds", "host_vote_windows", "producers", "workers",
+        "queue_depth", "drift",
+    ]
+    fields = {k: v for k, v in RUN_META.items() if k != "command"}
+    with pytest.raises(TypeError, match="takes exactly"):
+        deploy_meta("serve", **{k: v for k, v in fields.items() if k != "drift"})
+    with pytest.raises(TypeError, match="takes exactly"):
+        deploy_meta("monitor", **fields)
+
+
+def test_deploy_rejects_missing_or_foreign_meta():
+    with pytest.raises(ValueError, match="missing deploy keys"):
+        deploy({"command": "serve", "seed": 1})
+    with pytest.raises(ValueError, match="cannot deploy a 'profile' run"):
+        deploy(dict(RUN_META, command="profile"))
+
+
+def test_meta_without_drift_or_model_id_refits_stationary(workload):
+    """Segments archived before ``drift``/``model_id`` were recorded
+    deploy as those runs did: a refit on the stationary workload."""
+    old = {
+        k: v for k, v in RUN_META.items()
+        if k not in ("model_id", "registry_dir", "drift")
+    }
+    detector, hosts = deploy(old)
+    assert [(j.host_name, j.is_malware) for j in serve_jobs(old, hosts)] == [
+        (j.host_name, j.is_malware) for j in workload[1]
+    ]
+    assert detector.config == workload[0].config
+
+
+def test_drift_shifts_the_hosts():
+    _, hosts = deploy(dict(RUN_META, drift=0.8))
+    assert all("_evasive80_" in app.name for app, _ in hosts)
+
+
+def test_registry_deploy_completes_meta_in_place(tmp_path, workload):
+    from repro.registry import ModelRegistry
+
+    entry = ModelRegistry(tmp_path).save_detector(workload[0], tags=("prod",))
+    meta = dict(
+        RUN_META, classifier="OneR", ensemble="bagging", hpcs=2,
+        model_id="prod", registry_dir=str(tmp_path),
+    )
+    tracer = Tracer()
+    detector, _ = deploy(meta, tracer)
+    assert meta["model_id"] == entry.model_id
+    assert (meta["classifier"], meta["ensemble"], meta["hpcs"]) == (
+        "REPTree", "general", 4
+    )
+    assert detector.config == workload[0].config
+    names = [event.get("name") for event in tracer.events]
+    assert "cli.load_model" in names and "cli.fit" not in names
 
 
 def test_replay_at_1x_is_bit_identical(archived, workload):
@@ -129,6 +171,13 @@ def test_replay_needs_a_serve_segment(tmp_path):
     archive.ingest_events([], run_meta={"command": "fleet"}, source="fleet")
     with pytest.raises(ReplayError, match="no replayable"):
         replay_segment(archive)
+
+
+def test_replay_rejects_a_foreign_segment(tmp_path):
+    archive = Archive(tmp_path)
+    fleet = archive.ingest_events([], run_meta={"command": "fleet"}, source="fleet")
+    with pytest.raises(ReplayError, match="only 'serve' runs"):
+        replay_segment(archive, segment_id=fleet.segment_id)
 
 
 def test_replay_default_picks_latest_serve_segment(archived):
