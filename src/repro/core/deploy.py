@@ -6,12 +6,12 @@ through :func:`deploy`, from the dict :func:`deploy_meta` returns.  A
 ``fleet``/``serve`` run archives that same dict as its manifest
 ``run_meta``, so an archived run names everything needed to rebuild it:
 
-* the corpus (``seed``, ``windows``) and its 70/30 app-level split
-  (``split_seed``);
-* the detector: loaded from ``registry_dir`` by its full ``model_id``
-  when the run deployed a registry model, otherwise fitted on the train
-  half as ``classifier``/``ensemble``/``hpcs`` (always the deployed
-  detector's config);
+* the corpus a fitted detector trains on (``seed``, ``windows``) and
+  its 70/30 app-level split (``split_seed``);
+* the detector: loaded from ``registry_dir`` (an absolute path) by its
+  full ``model_id`` when the run deployed a registry model, otherwise
+  fitted on the train half as ``classifier``/``ensemble``/``hpcs``
+  (always the deployed detector's config);
 * the hosts: every ``stride``-th family, instantiated in order from a
   generator seeded ``seed + 100`` and, for a ``serve`` run with a
   nonzero ``drift``, shifted toward a benign cover profile at that
@@ -22,6 +22,8 @@ as those runs did: a refit, and no drift.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -97,11 +99,13 @@ def deploy(
     """Build the detector and ``(app, is_malware)`` hosts ``meta`` describes.
 
     A registry deployment (``model_id`` set) loads under a
-    ``cli.load_model`` span and completes ``meta`` in place: the
-    reference becomes the resolved full id and ``classifier``/
-    ``ensemble``/``hpcs`` the loaded detector's config, so the meta a
-    run archives deploys the same model again.  Otherwise the detector
-    is fitted under a ``cli.fit`` span.
+    ``cli.load_model`` span, builds no corpus, and completes ``meta`` in
+    place: the reference becomes the resolved full id, ``registry_dir``
+    an absolute path and ``classifier``/``ensemble``/``hpcs`` the loaded
+    detector's config, so the meta a run archives deploys the same model
+    again from any working directory.  Otherwise the corpus is built
+    under a ``cli.corpus`` span and the detector fitted on its train
+    half under a ``cli.fit`` span.
 
     Raises:
         ValueError: unknown command or a missing run_meta key.
@@ -117,22 +121,24 @@ def deploy(
     if missing:
         raise ValueError(f"run_meta is missing deploy keys: {', '.join(missing)}")
     seed = int(meta["seed"])
-    with tracer.span("cli.corpus"):
-        corpus = default_corpus(seed=seed, windows_per_app=int(meta["windows"]))
-    split = app_level_split(corpus, 0.7, seed=int(meta["split_seed"]))
     if meta.get("model_id"):
-        registry = ModelRegistry(meta["registry_dir"])
+        registry_dir = Path(meta["registry_dir"]).resolve()
+        registry = ModelRegistry(registry_dir)
         with tracer.span("cli.load_model", ref=meta["model_id"]):
             model_id = registry.resolve(meta["model_id"]).model_id
             detector = registry.load_detector(model_id)
         config = detector.config
         meta.update(
             model_id=model_id,
+            registry_dir=str(registry_dir),
             classifier=config.classifier,
             ensemble=config.ensemble,
             hpcs=config.n_hpcs,
         )
     else:
+        with tracer.span("cli.corpus"):
+            corpus = default_corpus(seed=seed, windows_per_app=int(meta["windows"]))
+        split = app_level_split(corpus, 0.7, seed=int(meta["split_seed"]))
         config = DetectorConfig(
             meta["classifier"], meta["ensemble"], int(meta["hpcs"])
         )

@@ -20,7 +20,7 @@ bit-comparable.
 
 :func:`grade_traces` (sample + classify, one call for a batch of
 executions; :func:`grade_trace` is its one-execution case) and
-:class:`VerdictSink` (metrics, trace event, archive, health, quality) are
+:class:`VerdictSink` (metrics, trace event, health, quality) are
 the verdict path every driver shares: the monitor here, the fleet, and
 the streaming service differ only in how executions reach them.
 """
@@ -43,7 +43,6 @@ from repro.obs import (
     FAST_LATENCY_BUCKETS,
     NULL_REGISTRY,
     NULL_TRACER,
-    ArchiveSink,
     HealthEvaluator,
     QualityTracker,
     Registry,
@@ -265,8 +264,9 @@ class VerdictSink:
     :class:`~repro.serve.service.DetectionService` each hand every final
     verdict to :meth:`emit`, which updates the ``<source>_*`` metrics,
     records one ``<source>.verdict`` trace event (the same field set for
-    every source), and feeds the optional archive sink, health evaluator
-    and quality tracker.  Observers never alter the verdict.
+    every source; the run's archive is built from these events), and
+    feeds the optional health evaluator and quality tracker.  Observers
+    never alter the verdict.
 
     Args:
         source: ``"monitor"``, ``"fleet"`` or ``"serve"``; names the
@@ -276,9 +276,6 @@ class VerdictSink:
         tracer / metrics: the driver's tracer and registry.
         health: optional :class:`~repro.obs.HealthEvaluator`.
         quality: optional :class:`~repro.obs.QualityTracker`.
-        archive: optional :class:`~repro.obs.archive.ArchiveSink`; it
-            gets the same timestamp as the trace event, so a run
-            archived live dedupes against re-ingesting its own trace.
 
     :meth:`emit` is thread-safe (the fleet and the service emit from
     worker threads): one lock guards the sink's instruments, and the
@@ -293,14 +290,12 @@ class VerdictSink:
         metrics: Registry,
         health: HealthEvaluator | None,
         quality: QualityTracker | None,
-        archive: ArchiveSink | None = None,
     ) -> None:
         self.event_name = f"{source}.verdict"
         self.vote_threshold = vote_threshold
         self.tracer = tracer
         self.health = health
         self.quality = quality
-        self.archive = archive
         self._lock = threading.Lock()
         self._c_executions = metrics.counter(*_EXECUTION_COUNTERS[source])
         self._c_windows = metrics.counter(
@@ -358,10 +353,8 @@ class VerdictSink:
                 # The detector classifies the batch vectorized; the
                 # honest per-window figure is its amortized share.
                 self._h_classify.observe_many(per_window, n)
-        ts = time.time()
         self.tracer.event(
             self.event_name,
-            ts=ts,
             app=verdict.app_name,
             host=host,
             index=index,
@@ -374,19 +367,6 @@ class VerdictSink:
             attempts=attempts,
             detection_latency_windows=latency,
         )
-        if self.archive is not None:
-            self.archive.observe_verdict(
-                ts=ts,
-                host=host,
-                app=verdict.app_name,
-                execution=index,
-                is_malware=verdict.is_malware,
-                malware_fraction=verdict.malware_fraction,
-                n_windows=n,
-                n_windows_lost=verdict.n_windows_lost,
-                degraded=verdict.degraded,
-                latency=latency,
-            )
         if self.health is not None:
             if per_window is not None:
                 self.health.observe_classify(per_window, n)

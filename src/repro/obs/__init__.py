@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency observability for the evaluation pipeline.
 
-Six pieces, all free when disabled:
+Seven pieces, all free when disabled:
 
 * :mod:`repro.obs.trace` — span-based :class:`Tracer` (context-manager
   API, monotonic durations, parent/child nesting, per-worker buffers)
@@ -13,10 +13,11 @@ Six pieces, all free when disabled:
 * :mod:`repro.obs.stream` — followers that tail a live trace/metrics
   pair as it grows (rotation- and truncation-tolerant).
 * :mod:`repro.obs.health` — sliding-window signals, declarative alert
-  rules, and SLO/error-budget tracking behind ``repro-hmd watch`` and
-  the monitors' in-process ``health=`` hook.
+  rules (evaluated and published by one :class:`AlertBook` per tracker,
+  health's and quality's alike), and SLO/error-budget tracking behind
+  ``repro-hmd watch`` and the monitors' in-process ``health=`` hook.
 * :mod:`repro.obs.archive` / :mod:`repro.obs.rollup` — the fleet
-  history: per-run traces ingested into content-addressed columnar
+  history: per-run trace events ingested into content-addressed columnar
   segments, and cross-run roll-up queries (detection-rate trends, alert
   frequency, exact merged latency percentiles) behind
   ``repro-hmd report``.
@@ -37,7 +38,6 @@ from repro.obs.archive import (
     DRIFT_RULE,
     Archive,
     ArchiveError,
-    ArchiveSink,
     IngestResult,
     SegmentData,
     normalize_events,
@@ -48,6 +48,7 @@ from repro.obs.health import (
     HEALTH_SCHEMA_VERSION,
     SEVERITIES,
     SIGNAL_NAMES,
+    AlertBook,
     AlertRule,
     AlertState,
     HealthConfigError,
@@ -122,7 +123,6 @@ __all__ = [
     "ARCHIVE_SCHEMA_VERSION",
     "Archive",
     "ArchiveError",
-    "ArchiveSink",
     "AlertFrame",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_QUALITY_RULES",
@@ -138,6 +138,7 @@ __all__ = [
     "SEVERITIES",
     "SIGNAL_NAMES",
     "TRACE_SCHEMA_VERSION",
+    "AlertBook",
     "AlertRule",
     "AlertState",
     "Counter",

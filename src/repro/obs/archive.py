@@ -13,18 +13,18 @@ report pipeline of per-host counter aggregators like TACC Stats:
   over the segment's normalized content — the same content-addressing
   discipline as :mod:`repro.analysis.cache` — so re-ingesting the same
   run reproduces the same ID and is a **no-op** (idempotent manifest),
-  and a live-archived run deduplicates against a later re-ingest of the
-  trace file it dumped (paired with its metrics snapshot, since the
-  snapshot is part of the addressed content).  All writes go through
+  and a run archived with ``--archive-dir`` deduplicates against a later
+  re-ingest of the trace file it dumped (paired with its metrics
+  snapshot, since the snapshot is part of the addressed content).  All writes go through
   :mod:`repro.ioutil` (temp file, fsync, ``os.replace``), so a crash
   mid-ingest leaves the previous archive state intact, never a
   truncated segment or manifest.
 * :func:`normalize_events` — turns ``serve.verdict`` / ``fleet.verdict``
-  / ``monitor.verdict`` / ``serve.alert`` / ``health.alert`` trace
-  events and span events into the archive's normalized record schema.
-* :class:`ArchiveSink` — the live hook :class:`~repro.serve.service.DetectionService`
-  feeds on its verdict path, so a service can archive its history even
-  when tracing is disabled.
+  / ``monitor.verdict`` / ``serve.alert`` / ``health.alert`` /
+  ``quality.alert`` / ``quality.drift`` trace events and span events into
+  the archive's normalized record schema.  A run's tracer events are
+  the only thing archived: :meth:`Archive.ingest_events` takes them from
+  memory, :meth:`Archive.ingest_trace` from a dumped trace file.
 
 Segments store timestamps, interned host/app/rule strings, verdict
 flags, and the run's full metrics snapshot (including classify-latency
@@ -415,52 +415,6 @@ class IngestResult:
     n_alerts: int
     n_spans: int
     path: Path
-
-
-class ArchiveSink:
-    """Live verdict/alert buffer for the service's archive hook.
-
-    :class:`~repro.serve.service.DetectionService` feeds it verdicts
-    through its :class:`~repro.core.runtime.VerdictSink` and host alerts
-    directly (:meth:`observe_verdict` / :meth:`observe_alert` only append
-    to lists, and the service emits each execution's verdict once), so a
-    service run can be archived with :meth:`ingest_into` even when
-    tracing is disabled.  Records use the same normalized schema as
-    :func:`normalize_events`, so a run archived live and the same run
-    re-ingested from its dumped trace produce identical verdict/alert
-    columns.
-    """
-
-    def __init__(self, source: str = "serve") -> None:
-        self.source = source
-        self.verdicts: list[dict] = []
-        self.alerts: list[dict] = []
-
-    def observe_verdict(self, **fields) -> None:
-        """Buffer one verdict row (fields of :func:`verdict_record`)."""
-        self.verdicts.append(verdict_record(source=self.source, **fields))
-
-    def observe_alert(self, **fields) -> None:
-        """Buffer one alert row (fields of :func:`alert_record`)."""
-        self.alerts.append(alert_record(**fields))
-
-    def ingest_into(
-        self,
-        archive: "Archive",
-        metrics: dict | None = None,
-        run_meta: dict | None = None,
-        run_id: str | None = None,
-    ) -> IngestResult:
-        """Write the buffered records as one segment of ``archive``."""
-        return archive.ingest_records(
-            sorted(self.verdicts, key=lambda v: (v["ts"], v["execution"])),
-            sorted(self.alerts, key=lambda a: a["ts"]),
-            [],
-            metrics=metrics,
-            run_meta=run_meta,
-            run_id=run_id,
-            source=self.source,
-        )
 
 
 class Archive:

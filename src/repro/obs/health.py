@@ -17,9 +17,10 @@ pipeline already emits:
 * :class:`AlertRule` / :class:`AlertState` — declarative threshold rules
   (comparator, ``for_s`` hold duration, severity, hysteresis via a
   distinct clear threshold) evaluated deterministically against a
-  supplied clock.  Firing/cleared transitions are emitted as
-  ``health.alert`` trace events, counted in the registry, and rendered
-  to stderr when a stream is given.
+  supplied clock.  :class:`AlertBook` evaluates a tracker's rules and
+  publishes their firing/cleared transitions: ``health.alert`` (or
+  ``quality.alert``) trace events, registry counters, and stderr lines
+  when a stream is given.
 * :class:`SLO` — objectives like "≥95% non-degraded verdicts" or
   "p95 classify < 10 ms" with burn-rate and remaining-error-budget
   reporting.
@@ -54,6 +55,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, TextIO
+
+import numpy as np
 
 from repro.ioutil import atomic_write_text, dumps_json
 from repro.obs.archive import VERDICT_EVENTS
@@ -92,14 +95,47 @@ class HealthConfigError(ValueError):
     """Malformed alert rule or SLO specification."""
 
 
+class _SlidingSum:
+    """Running total of timestamped additive contributions over a
+    trailing window.
+
+    ``entries`` holds ``(ts, contribution)`` pairs in time order and
+    ``total`` their sum; :meth:`evict` pops the expired entries and
+    subtracts their contribution, so ``total`` always equals a fresh sum
+    over the survivors.  A contribution is anything with exact ``+`` and
+    ``-``: int64 vectors here, drift-bin counts in
+    :mod:`repro.obs.quality`.
+    """
+
+    def __init__(self, window_s: float, zero) -> None:
+        self.window_s = window_s
+        self.entries: deque = deque()
+        self.total = zero
+
+    def add(self, ts: float, contribution) -> None:
+        # Eviction pops from the left while entries are expired, which
+        # requires timestamps to be non-decreasing.  A straggler stamped
+        # earlier than the tail (fleet and serve threads finish out of
+        # order) is clamped forward to the tail's time.
+        ts = max(float(ts), self.entries[-1][0]) if self.entries else float(ts)
+        self.entries.append((ts, contribution))
+        self.total = self.total + contribution
+
+    def evict(self, now: float) -> None:
+        """Drop entries that have aged out of the window ending at ``now``."""
+        cutoff = now - self.window_s
+        while self.entries and self.entries[0][0] <= cutoff:
+            self.total = self.total - self.entries.popleft()[1]
+
+
 class SlidingWindowSignals:
     """Exact derived signals over a trailing time window.
 
-    Verdict-level evidence (alarms, degradation, retries, lost windows)
-    and classify-latency observations are kept in per-kind deques with
-    running aggregates; entries older than ``window_s`` are evicted and
-    their contribution subtracted, so every signal is exactly what a
-    fresh accumulation over the surviving entries would produce.
+    Verdict-level evidence (alarms, degradation, kept and lost windows,
+    retries) and classify-latency bucket counts are each a
+    :class:`_SlidingSum` of small int64 vectors, so every signal is
+    exactly what a fresh accumulation over the surviving entries would
+    produce.
 
     Args:
         window_s: trailing window length in seconds.
@@ -116,26 +152,15 @@ class SlidingWindowSignals:
             raise ValueError(f"window_s must be positive, got {window_s}")
         self.window_s = float(window_s)
         self.buckets = tuple(float(b) for b in buckets)
-        self._verdicts: deque = deque()  # (ts, alarm, degraded, kept, lost, retries)
-        self._classify: deque = deque()  # (ts, bucket_index, n, total_seconds)
-        self._counts = [0] * (len(self.buckets) + 1)
-        self._classify_n = 0
-        self._classify_sum = 0.0
-        self._n_alarms = 0
-        self._n_degraded = 0
-        self._n_kept = 0
-        self._n_lost = 0
-        self._n_retries = 0
+        # (1, alarm, degraded, kept, lost, retries) per verdict
+        self._verdicts = _SlidingSum(self.window_s, np.zeros(6, dtype=np.int64))
+        # observations per latency bucket (the last is +Inf)
+        self._classify = _SlidingSum(
+            self.window_s, np.zeros(len(self.buckets) + 1, dtype=np.int64)
+        )
         # Lifetime totals (never evicted) for the final report.
         self.total_verdicts = 0
         self.total_degraded = 0
-
-    def _monotone(self, queue: deque, ts: float) -> float:
-        # Eviction pops from the left while entries are expired, which
-        # requires timestamps to be non-decreasing.  A straggler stamped
-        # earlier than the deque tail (fleet threads finish out of
-        # order) is clamped forward to the tail's time.
-        return max(float(ts), queue[-1][0]) if queue else float(ts)
 
     def observe_verdict(
         self,
@@ -147,64 +172,49 @@ class SlidingWindowSignals:
         n_windows_lost: int = 0,
         retries: int = 0,
     ) -> None:
-        entry = (
-            self._monotone(self._verdicts, ts), bool(is_malware), bool(degraded),
-            int(n_windows), int(n_windows_lost), int(retries),
+        self._verdicts.add(
+            ts,
+            np.array(
+                [
+                    1, bool(is_malware), bool(degraded), int(n_windows),
+                    int(n_windows_lost), int(retries),
+                ],
+                dtype=np.int64,
+            ),
         )
-        self._verdicts.append(entry)
-        self._n_alarms += entry[1]
-        self._n_degraded += entry[2]
-        self._n_kept += entry[3]
-        self._n_lost += entry[4]
-        self._n_retries += entry[5]
         self.total_verdicts += 1
-        self.total_degraded += entry[2]
+        self.total_degraded += bool(degraded)
 
     def observe_classify(self, ts: float, seconds: float, n: int = 1) -> None:
         """Record ``n`` per-window classify observations of ``seconds``."""
         if n <= 0:
             return
-        index = bisect_left(self.buckets, float(seconds))
-        self._classify.append(
-            (self._monotone(self._classify, ts), index, int(n), float(seconds) * n)
-        )
-        self._counts[index] += n
-        self._classify_n += n
-        self._classify_sum += float(seconds) * n
+        counts = np.zeros(len(self.buckets) + 1, dtype=np.int64)
+        counts[bisect_left(self.buckets, float(seconds))] = n
+        self._classify.add(ts, counts)
 
     def evict(self, now: float) -> None:
         """Drop entries that have aged out of the window ending at ``now``."""
-        cutoff = now - self.window_s
-        while self._verdicts and self._verdicts[0][0] <= cutoff:
-            _, alarm, degraded, kept, lost, retries = self._verdicts.popleft()
-            self._n_alarms -= alarm
-            self._n_degraded -= degraded
-            self._n_kept -= kept
-            self._n_lost -= lost
-            self._n_retries -= retries
-        while self._classify and self._classify[0][0] <= cutoff:
-            _, index, n, total = self._classify.popleft()
-            self._counts[index] -= n
-            self._classify_n -= n
-            self._classify_sum -= total
+        self._verdicts.evict(now)
+        self._classify.evict(now)
+
+    def _verdict_totals(self, now: float) -> list:
+        """``[n, alarms, degraded, kept, lost, retries]`` in the window."""
+        self.evict(now)
+        return self._verdicts.total.tolist()
 
     def values(self, now: float) -> dict:
         """Every signal at time ``now`` (NaN where there is no evidence)."""
-        self.evict(now)
-        n = len(self._verdicts)
-        requested = self._n_kept + self._n_lost
-        classify = {
-            "count": self._classify_n,
-            "buckets": self.buckets,
-            "counts": self._counts,
-        }
+        n, alarms, degraded, kept, lost, retries = self._verdict_totals(now)
+        counts = self._classify.total.tolist()
+        classify = {"count": sum(counts), "buckets": self.buckets, "counts": counts}
         return {
             "verdicts": float(n),
-            "detection_rate": self._n_alarms / n if n else _NAN,
-            "degraded_ratio": self._n_degraded / n if n else _NAN,
-            "retry_rate": self._n_retries / n if n else _NAN,
+            "detection_rate": alarms / n if n else _NAN,
+            "degraded_ratio": degraded / n if n else _NAN,
+            "retry_rate": retries / n if n else _NAN,
             "windows_lost_fraction": (
-                self._n_lost / requested if requested else _NAN
+                lost / (kept + lost) if kept + lost else _NAN
             ),
             "p50_classify_s": histogram_quantile(classify, 0.50),
             "p95_classify_s": histogram_quantile(classify, 0.95),
@@ -219,26 +229,26 @@ class SlidingWindowSignals:
         "p95 <= bound" and "good fraction >= 0.95" agree.
         """
         self.evict(now)
-        if not self._classify_n:
+        counts = self._classify.total.tolist()
+        total = sum(counts)
+        if not total:
             return _NAN
         good = 0
-        for bound, count in zip(self.buckets, self._counts):
+        for bound, count in zip(self.buckets, counts):
             if bound > bound_s:
                 break
             good += count
-        return good / self._classify_n
+        return good / total
 
     def degraded_good_fraction(self, now: float) -> float:
         """Fraction of windowed verdicts that are *not* degraded."""
-        self.evict(now)
-        n = len(self._verdicts)
-        return (n - self._n_degraded) / n if n else _NAN
+        n, _, degraded, *_ = self._verdict_totals(now)
+        return (n - degraded) / n if n else _NAN
 
     def windows_kept_fraction(self, now: float) -> float:
         """Fraction of requested sampling windows that survived."""
-        self.evict(now)
-        requested = self._n_kept + self._n_lost
-        return self._n_kept / requested if requested else _NAN
+        _, _, _, kept, lost, _ = self._verdict_totals(now)
+        return kept / (kept + lost) if kept + lost else _NAN
 
 
 @dataclass(frozen=True)
@@ -471,6 +481,75 @@ class AlertState:
         }
 
 
+class AlertBook:
+    """One tracker's alert rules and everything their transitions publish.
+
+    :meth:`evaluate` advances every rule's :class:`AlertState` against a
+    dict of signal values.  Each firing/cleared transition increments
+    ``<kind>_alerts_fired_total`` / ``<kind>_alerts_cleared_total``,
+    records a ``<kind>.alert`` trace event (``host="*"``: the rules
+    judge fleet-wide signals) and, when ``stream`` is given, prints a
+    ``[<kind>]`` notice there.  :class:`HealthEvaluator` (kind
+    ``health``) and :class:`~repro.obs.quality.QualityTracker` (kind
+    ``quality``) each hold one.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        rules: tuple | list,
+        tracer: Tracer,
+        metrics: Registry,
+        stream: TextIO | None,
+    ) -> None:
+        self.kind = kind
+        self.states = [AlertState(rule) for rule in rules]
+        self.tracer = tracer
+        self.stream = stream
+        self._c_fired = metrics.counter(
+            f"{kind}_alerts_fired_total", "alert rules entering the firing state"
+        )
+        self._c_cleared = metrics.counter(
+            f"{kind}_alerts_cleared_total", "alert rules returning to ok"
+        )
+
+    def evaluate(self, values: dict, now: float) -> None:
+        """Advance every rule to ``now`` (a missing signal is NaN)."""
+        for state in self.states:
+            transition = state.update(values.get(state.rule.signal, _NAN), now)
+            if transition is None:
+                continue
+            if transition["state"] == "firing":
+                self._c_fired.inc()
+            else:
+                self._c_cleared.inc()
+            self.tracer.event(f"{self.kind}.alert", host="*", **transition)
+            if self.stream is not None:
+                rule = state.rule
+                print(
+                    f"[{self.kind}] {transition['state'].upper():7s} "
+                    f"{rule.severity:8s} {rule.name}: "
+                    f"{rule.signal} {rule.op} {rule.threshold:g} "
+                    f"(value {transition['value']:.4g} at t={transition['ts']:.3f})",
+                    file=self.stream,
+                )
+
+    def fired(self) -> bool:
+        """Whether any rule has ever fired."""
+        return any(state.fired_count for state in self.states)
+
+    def critical_fired(self) -> bool:
+        """Whether any critical rule has ever fired (the CI exit gate)."""
+        return any(
+            state.rule.severity == "critical" and state.fired_count
+            for state in self.states
+        )
+
+    def to_dicts(self) -> list[dict]:
+        """Every rule's state, for a report's ``alerts`` list."""
+        return [state.to_dict() for state in self.states]
+
+
 @dataclass(frozen=True)
 class SLO:
     """A service-level objective with error-budget accounting.
@@ -621,11 +700,9 @@ class HealthEvaluator:
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.window = SlidingWindowSignals(window_s)
-        self.states = [AlertState(rule) for rule in rules]
         self.slos = list(slos)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.stream = stream
         self.clock = clock
         self.last_values: dict = {}
         self._now: float | None = None
@@ -636,12 +713,7 @@ class HealthEvaluator:
         self._c_evals = self.metrics.counter(
             "health_evaluations_total", "alert-rule evaluation passes"
         )
-        self._c_fired = self.metrics.counter(
-            "health_alerts_fired_total", "alert rules entering the firing state"
-        )
-        self._c_cleared = self.metrics.counter(
-            "health_alerts_cleared_total", "alert rules returning to ok"
-        )
+        self.alerts = AlertBook("health", rules, self.tracer, self.metrics, stream)
 
     # -- feeding paths -------------------------------------------------
     def observe_verdict(
@@ -735,27 +807,14 @@ class HealthEvaluator:
         values = self.window.values(self._now)
         self.last_values = values
         self._c_evals.inc()
-        for state in self.states:
-            value = values.get(state.rule.signal, _NAN)
-            transition = state.update(value, self._now)
-            if transition is None:
-                continue
-            if transition["state"] == "firing":
-                self._c_fired.inc()
-            else:
-                self._c_cleared.inc()
-            self.tracer.event("health.alert", **transition)
-            if self.stream is not None:
-                rule = state.rule
-                print(
-                    f"[health] {transition['state'].upper():7s} "
-                    f"{rule.severity:8s} {rule.name}: "
-                    f"{rule.signal} {rule.op} {rule.threshold:g} "
-                    f"(value {transition['value']:.4g} at t={transition['ts']:.3f})",
-                    file=self.stream,
-                )
+        self.alerts.evaluate(values, self._now)
 
     # -- results -------------------------------------------------------
+    @property
+    def states(self) -> list[AlertState]:
+        """Every rule's state machine (:attr:`AlertBook.states`)."""
+        return self.alerts.states
+
     @property
     def firing(self) -> list[AlertState]:
         """Alert states currently in the firing state."""
@@ -763,10 +822,7 @@ class HealthEvaluator:
 
     def critical_fired(self) -> bool:
         """Whether any critical rule has ever fired (the CI exit gate)."""
-        return any(
-            state.rule.severity == "critical" and state.fired_count
-            for state in self.states
-        )
+        return self.alerts.critical_fired()
 
     def slo_statuses(self, now: float | None = None) -> list[dict]:
         with self._lock:
@@ -788,9 +844,9 @@ class HealthEvaluator:
                     "verdicts": self.window.total_verdicts,
                     "degraded": self.window.total_degraded,
                 },
-                "alerts": [state.to_dict() for state in self.states],
+                "alerts": self.alerts.to_dicts(),
                 "slos": [slo.status(self.window, now) for slo in self.slos],
-                "critical_fired": self.critical_fired(),
+                "critical_fired": self.alerts.critical_fired(),
             }
 
     def dump(self, path: str | Path) -> None:

@@ -21,18 +21,18 @@ layer for that failure mode:
   same counts always produce the same score, and identical
   distributions score exactly zero PSI.
 * :class:`QualityTracker` — a streaming consumer with sliding live
-  windows using the same eviction-by-decrement semantics as
-  :class:`~repro.obs.health.SlidingWindowSignals`: each observed
-  execution contributes bin-count arrays to a deque; eviction subtracts
-  the exact contribution, so windowed drift scores equal a fresh
+  windows: each observed batch of executions contributes its exact
+  bin-count arrays to a :class:`~repro.obs.health._SlidingSum` (the
+  window :class:`~repro.obs.health.SlidingWindowSignals` is built on),
+  and eviction subtracts them, so windowed drift scores equal a fresh
   accumulation over the surviving executions.  It keeps one global
   window plus one per host (per-host drift for the serving fleet),
-  emits ``quality_*`` counters/gauges/histograms, ``quality.drift``
+  emits ``quality_*`` counters/gauges/histograms and ``quality.drift``
   trace events, and evaluates declarative :class:`QualityAlertRule`\\ s
-  (PSI threshold with hold and hysteresis, reusing the
-  :class:`~repro.obs.health.AlertState` machine) whose transitions are
-  emitted as ``quality.alert`` events — so ``repro-hmd watch`` can gate
-  a pipeline on drift exactly like it gates on health.
+  (PSI threshold with hold and hysteresis) through the same
+  :class:`~repro.obs.health.AlertBook` health uses, whose transitions
+  are ``quality.alert`` events — so ``repro-hmd watch`` can gate a
+  pipeline on drift exactly like it gates on health.
 
 The tracker never touches verdict computation: monitors built with
 ``quality=None`` pay one attribute check, and enabling tracking leaves
@@ -53,7 +53,6 @@ import json
 import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, TextIO
@@ -61,8 +60,13 @@ from typing import Callable, ClassVar, TextIO
 import numpy as np
 
 from repro.ioutil import atomic_write_text, dumps_json
-from repro.obs.archive import DRIFT_RULE
-from repro.obs.health import AlertRule, AlertState, parse_alert_spec
+from repro.obs.health import (
+    AlertBook,
+    AlertRule,
+    AlertState,
+    _SlidingSum,
+    parse_alert_spec,
+)
 from repro.obs.metrics import NULL_REGISTRY, Registry
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -165,77 +169,19 @@ def _equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.linspace(lo, hi, int(n_bins) + 1)
 
 
-def _psi(ref_counts: np.ndarray, live_counts: np.ndarray, epsilon: float) -> float:
-    """Population stability index between two count vectors.
-
-    Cells are smoothed by ``epsilon`` pseudo-counts so empty cells stay
-    finite; identical count vectors score exactly 0.0.  NaN when either
-    side is empty (no evidence is not evidence of drift).
-    """
-    ref = np.asarray(ref_counts, dtype=float)
-    live = np.asarray(live_counts, dtype=float)
-    n_ref, n_live = ref.sum(), live.sum()
-    if n_ref <= 0 or n_live <= 0:
-        return _NAN
-    k = ref.size
-    p = (ref + epsilon) / (n_ref + epsilon * k)
-    q = (live + epsilon) / (n_live + epsilon * k)
-    return float(np.sum((q - p) * np.log(q / p)))
-
-
-def _ks(ref_counts: np.ndarray, live_counts: np.ndarray) -> float:
-    """Histogram KS statistic: max |CDF difference| on the shared cells."""
-    ref = np.asarray(ref_counts, dtype=float)
-    live = np.asarray(live_counts, dtype=float)
-    n_ref, n_live = ref.sum(), live.sum()
-    if n_ref <= 0 or n_live <= 0:
-        return _NAN
-    return float(np.max(np.abs(np.cumsum(ref) / n_ref - np.cumsum(live) / n_live)))
-
-
-def _psi_rows(
-    ref_counts: np.ndarray, live_counts: np.ndarray, epsilon: float
-) -> np.ndarray:
-    """Row-wise :func:`_psi` over two ``(F, C)`` count matrices.
-
-    Same arithmetic per row as the scalar helper (rows reduce with the
-    identical pairwise summation), fused into a handful of array ops so
-    per-observation drift scoring doesn't pay F Python round-trips.
-    """
-    ref = np.asarray(ref_counts, dtype=float)
-    live = np.asarray(live_counts, dtype=float)
-    n_ref = ref.sum(axis=1, keepdims=True)
-    n_live = live.sum(axis=1, keepdims=True)
-    k = ref.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (ref + epsilon) / (n_ref + epsilon * k)
-        q = (live + epsilon) / (n_live + epsilon * k)
-        out = np.sum((q - p) * np.log(q / p), axis=1)
-    out[(n_ref.ravel() <= 0) | (n_live.ravel() <= 0)] = _NAN
-    return out
-
-
-def _ks_rows(ref_counts: np.ndarray, live_counts: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_ks` over two ``(F, C)`` count matrices."""
-    ref = np.asarray(ref_counts, dtype=float)
-    live = np.asarray(live_counts, dtype=float)
-    n_ref = ref.sum(axis=1, keepdims=True)
-    n_live = live.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.max(
-            np.abs(np.cumsum(ref, axis=1) / n_ref - np.cumsum(live, axis=1) / n_live),
-            axis=1,
-        )
-    out[(n_ref.ravel() <= 0) | (n_live.ravel() <= 0)] = _NAN
-    return out
-
-
 # -- reference profile -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Contribution:
-    """One batch's exact additive contribution to a live window."""
+    """One batch's exact additive contribution to a live window.
+
+    Contributions add and subtract field by field (integer histograms
+    are exactly additive), so a window's total is a
+    :class:`~repro.obs.health._SlidingSum` of them.  Never mutated, but
+    not frozen: a frozen dataclass's ``__init__`` would add ~3 µs to
+    every window add and eviction.
+    """
 
     feature: np.ndarray  # (n_features, cells) int64
     score: np.ndarray  # (cells,) int64
@@ -245,16 +191,20 @@ class _Contribution:
     n_nan: int
     n_executions: int = 1
 
-    def merged(self, other: "_Contribution") -> "_Contribution":
-        """Exact sum of two contributions (counts are additive)."""
+    def __add__(self, other: "_Contribution") -> "_Contribution":
         return _Contribution(
-            feature=self.feature + other.feature,
-            score=self.score + other.score,
-            margin=self.margin + other.margin,
-            cal=self.cal + other.cal,
-            n_windows=self.n_windows + other.n_windows,
-            n_nan=self.n_nan + other.n_nan,
-            n_executions=self.n_executions + other.n_executions,
+            self.feature + other.feature, self.score + other.score,
+            self.margin + other.margin, self.cal + other.cal,
+            self.n_windows + other.n_windows, self.n_nan + other.n_nan,
+            self.n_executions + other.n_executions,
+        )
+
+    def __sub__(self, other: "_Contribution") -> "_Contribution":
+        return _Contribution(
+            self.feature - other.feature, self.score - other.score,
+            self.margin - other.margin, self.cal - other.cal,
+            self.n_windows - other.n_windows, self.n_nan - other.n_nan,
+            self.n_executions - other.n_executions,
         )
 
 
@@ -262,9 +212,9 @@ class ReferenceProfile:
     """Fixed-bin training-time distributions a live stream is scored against.
 
     Built by :func:`build_reference_profile`; all live binning goes
-    through :meth:`bin_execution` with the *same* edges and the same
-    cell conventions as the build, so a live stream drawn from the
-    training distribution scores (near) zero divergence by construction.
+    through :meth:`bin_batch` with the *same* edges and the same cell
+    conventions as the build, so a live stream drawn from the training
+    distribution scores (near) zero divergence by construction.
     """
 
     def __init__(
@@ -327,60 +277,16 @@ class ReferenceProfile:
         return int(self.feature_counts[0].sum()) if self.n_features else 0
 
     # -- live binning --------------------------------------------------
-    def bin_execution(
-        self, windows, scores, margin: float = _NAN, truth: bool | None = None
-    ) -> _Contribution:
-        """Bin one execution's reduced windows into an exact contribution.
-
-        ``windows`` is the ``(n_windows, n_features)`` reduced feature
-        matrix, ``scores`` the per-window graded malware scores,
-        ``margin`` the verdict's vote margin, and ``truth`` the ground
-        truth label (when known, it feeds the calibration bins).  Empty
-        executions produce an all-zero contribution.
-        """
-        windows = np.atleast_2d(np.asarray(windows, dtype=float))
-        if windows.size == 0:
-            windows = windows.reshape(0, self.n_features)
-        if windows.shape[1] != self.n_features:
-            raise QualityError(
-                f"execution has {windows.shape[1]} features, "
-                f"profile has {self.n_features}"
-            )
-        feature, feature_nan = bin_matrix(self.feature_edges, windows)
-        n_nan = int(feature_nan.sum())
-        # Score binning and calibration share one cell-index pass.
-        idx, ok = _cell_indices(self.score_edges, scores)
-        score_counts = np.bincount(idx, minlength=self.score_cells).astype(np.int64)
-        margin_counts, _ = bin_values(self.margin_edges, margin)
-        cal = np.zeros((len(_CAL_KEYS), self.score_cells))
-        if truth is not None:
-            s = np.asarray(scores, dtype=float).ravel()[ok]
-            y = np.full(s.size, float(bool(truth)))
-            cells = self.score_cells
-            cal[0] = np.bincount(idx, minlength=cells)
-            cal[1] = np.bincount(idx, weights=y, minlength=cells)
-            cal[2] = np.bincount(idx, weights=s, minlength=cells)
-            cal[3] = np.bincount(idx, weights=s * s, minlength=cells)
-            cal[4] = np.bincount(idx, weights=s * y, minlength=cells)
-        return _Contribution(
-            feature=feature,
-            score=score_counts,
-            margin=margin_counts,
-            cal=cal,
-            n_windows=int(windows.shape[0]),
-            n_nan=n_nan,
-        )
-
     def bin_batch(self, entries: list) -> _Contribution:
         """Bin several executions into one additive contribution.
 
         ``entries`` is a list of ``(windows, scores, margin, truth)``
         tuples whose ``windows`` are already validated ``(n, F)`` float
-        matrices.  Counts equal the sum of per-entry
-        :meth:`bin_execution` contributions (integer histograms are
-        exactly additive), but the feature matrices are concatenated and
-        binned in one vectorized pass — this is what makes deferred
-        batch flushing cheaper than per-observation binning.
+        matrices.  Counts equal the sum of binning each entry alone
+        (integer histograms are exactly additive), but the feature
+        matrices are concatenated and binned in one vectorized pass —
+        this is what makes deferred batch flushing cheaper than
+        per-observation binning.
         """
         windows_all = np.concatenate(
             [windows for windows, _, _, _ in entries]
@@ -610,25 +516,15 @@ class DriftScorer:
             self._margin_p = (mref + eps) / (mn + eps * mref.size)
             self._margin_log_p = np.log(self._margin_p)
 
-    def feature_drift(self, live_feature_counts: np.ndarray) -> list:
-        """Per-feature PSI and KS against the reference histograms."""
-        live = np.asarray(live_feature_counts, dtype=float)
-        psi = _psi_rows(self.profile.feature_counts, live, self.epsilon)
-        ks = _ks_rows(self.profile.feature_counts, live)
-        return [
-            {"feature": name, "psi": float(psi[f]), "ks": float(ks[f])}
-            for f, name in enumerate(self.profile.feature_names)
-        ]
-
     def window_drift(self, feature_counts, score_counts, cal) -> dict:
-        """Feature, score, and calibration signals in one fused pass.
+        """Per-feature PSI and KS, score PSI and KS, and calibration
+        (:meth:`calibration`) of one live window in one fused pass.
 
-        Hot-path twin of :meth:`feature_drift` + :meth:`score_drift` +
-        :meth:`calibration`: identical smoothing and cell arithmetic,
-        but the live side is normalized against the precomputed
-        reference tensors (``log(q) - log(p)`` in place of
-        ``log(q / p)``, equal up to float rounding; identical counts
-        still score exactly 0.0 because ``q - p`` is exactly zero).
+        The live side is normalized against the precomputed reference
+        tensors; PSI is Σ (q − p)·(log q − log p) with ``epsilon``
+        pseudo-counts per cell, KS the max |CDF difference| on the
+        shared cells.  Identical counts score exactly 0.0 (``q - p`` is
+        exactly zero), and a side with no evidence scores NaN.
         """
         eps = self.epsilon
         live = np.asarray(feature_counts, dtype=float)
@@ -661,12 +557,6 @@ class DriftScorer:
             "score_ks": score_ks,
             "ece": cal_scores["ece"],
             "brier": cal_scores["brier"],
-        }
-
-    def score_drift(self, live_score_counts: np.ndarray) -> dict:
-        return {
-            "psi": _psi(self.profile.score_counts, live_score_counts, self.epsilon),
-            "ks": _ks(self.profile.score_counts, live_score_counts),
         }
 
     def margin_psi(self, live_margin_counts: np.ndarray) -> float:
@@ -741,55 +631,6 @@ DEFAULT_QUALITY_RULES = (
 # -- streaming tracker -------------------------------------------------
 
 
-class _LiveWindow:
-    """One sliding window of execution contributions.
-
-    Mirrors :class:`~repro.obs.health.SlidingWindowSignals`: entries
-    carry their exact additive contribution, eviction subtracts it, so
-    aggregates always equal a fresh accumulation over the survivors.
-    """
-
-    def __init__(self, profile: ReferenceProfile) -> None:
-        self._entries: deque = deque()  # (ts, _Contribution)
-        self.feature = np.zeros(
-            (profile.n_features, profile.feature_cells), dtype=np.int64
-        )
-        self.score = np.zeros(profile.score_cells, dtype=np.int64)
-        self.margin = np.zeros(profile.margin_cells, dtype=np.int64)
-        self.cal = np.zeros((len(_CAL_KEYS), profile.score_cells))
-        self.n_windows = 0
-        self.n_nan = 0
-        self.executions = 0
-
-    def _monotone(self, ts: float) -> float:
-        # Same clamp as SlidingWindowSignals: eviction pops from the
-        # left, so a straggler stamped before the tail (serve/fleet
-        # threads finish out of order) is clamped forward.
-        return max(float(ts), self._entries[-1][0]) if self._entries else float(ts)
-
-    def observe(self, ts: float, contrib: _Contribution) -> None:
-        self._entries.append((self._monotone(ts), contrib))
-        self.feature += contrib.feature
-        self.score += contrib.score
-        self.margin += contrib.margin
-        self.cal += contrib.cal
-        self.n_windows += contrib.n_windows
-        self.n_nan += contrib.n_nan
-        self.executions += contrib.n_executions
-
-    def evict(self, now: float, window_s: float) -> None:
-        cutoff = now - window_s
-        while self._entries and self._entries[0][0] <= cutoff:
-            _, contrib = self._entries.popleft()
-            self.feature -= contrib.feature
-            self.score -= contrib.score
-            self.margin -= contrib.margin
-            self.cal -= contrib.cal
-            self.n_windows -= contrib.n_windows
-            self.n_nan -= contrib.n_nan
-            self.executions -= contrib.n_executions
-
-
 class QualityTracker:
     """Streams live executions against a reference profile.
 
@@ -832,10 +673,6 @@ class QualityTracker:
         metrics: quality counters/gauges/histograms land here.
         stream: optional text stream for one-line transition notices.
         clock: time source when observations carry no timestamp.
-        archive_sink: optional :class:`~repro.obs.archive.ArchiveSink`
-            fed the same drift observations and transitions the tracer
-            records (identical timestamps and values), so a live-archived
-            run dedupes against re-ingesting its own dumped trace.
     """
 
     def __init__(
@@ -850,7 +687,6 @@ class QualityTracker:
         metrics: Registry | None = None,
         stream: TextIO | None = None,
         clock: Callable[[], float] = time.time,
-        archive_sink=None,
     ) -> None:
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
@@ -868,16 +704,10 @@ class QualityTracker:
             min_windows = max(64, round(0.75 * profile.n_windows))
         self.min_windows = int(min_windows)
         self.min_executions = int(min_executions)
-        self.states = [
-            AlertState(rule)
-            for rule in (DEFAULT_QUALITY_RULES if rules is None else rules)
-        ]
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.stream = stream
         self.clock = clock
-        self.archive_sink = archive_sink
-        self.window = _LiveWindow(profile)
+        self.window = self._new_window()
         self.hosts: dict = {}
         self.last_signals: dict = {}
         self.total_executions = 0
@@ -894,11 +724,12 @@ class QualityTracker:
         self._c_nan = self.metrics.counter(
             "quality_nan_values_total", "NaN feature values excluded from binning"
         )
-        self._c_fired = self.metrics.counter(
-            "quality_alerts_fired_total", "drift rules entering the firing state"
-        )
-        self._c_cleared = self.metrics.counter(
-            "quality_alerts_cleared_total", "drift rules returning to ok"
+        self.alerts = AlertBook(
+            "quality",
+            DEFAULT_QUALITY_RULES if rules is None else rules,
+            self.tracer,
+            self.metrics,
+            stream,
         )
         self._g_max_psi = self.metrics.gauge(
             "quality_max_feature_psi", "worst per-feature PSI in the live window"
@@ -914,6 +745,10 @@ class QualityTracker:
             "per-feature PSI at each evaluation",
             buckets=PSI_BUCKETS,
         )
+
+    def _new_window(self) -> _SlidingSum:
+        # binning no executions is the all-zero contribution
+        return _SlidingSum(self.window_s, self.profile.bin_batch([]))
 
     # -- feeding -------------------------------------------------------
     def observe_execution(
@@ -978,10 +813,10 @@ class QualityTracker:
             contrib = self.profile.bin_batch(entries)
             if host:
                 if host not in self.hosts:
-                    self.hosts[host] = _LiveWindow(self.profile)
-                self.hosts[host].observe(batch_ts, contrib)
-            total = contrib if total is None else total.merged(contrib)
-        self.window.observe(batch_ts, total)
+                    self.hosts[host] = self._new_window()
+                self.hosts[host].add(batch_ts, contrib)
+            total = contrib if total is None else total + contrib
+        self.window.add(batch_ts, total)
         if total.n_nan:
             self.total_nan += total.n_nan
             self._c_nan.inc(total.n_nan)
@@ -995,11 +830,12 @@ class QualityTracker:
             return dict(self.last_signals)
 
     # -- signals -------------------------------------------------------
-    def _window_signals(self, window: _LiveWindow, now: float) -> tuple:
-        window.evict(now, self.window_s)
+    def _window_signals(self, window: _SlidingSum, now: float) -> tuple:
+        window.evict(now)
+        live = window.total
         signals = {
-            "live_windows": float(window.n_windows),
-            "executions": float(window.executions),
+            "live_windows": float(live.n_windows),
+            "executions": float(live.n_executions),
             "max_feature_psi": _NAN,
             "mean_feature_psi": _NAN,
             "max_feature_ks": _NAN,
@@ -1011,10 +847,10 @@ class QualityTracker:
         }
         features = []
         if (
-            window.n_windows >= self.min_windows
-            and window.executions >= self.min_executions
+            live.n_windows >= self.min_windows
+            and live.n_executions >= self.min_executions
         ):
-            drift = self.scorer.window_drift(window.feature, window.score, window.cal)
+            drift = self.scorer.window_drift(live.feature, live.score, live.cal)
             psi, ks = drift["feature_psi"], drift["feature_ks"]
             features = [
                 {"feature": name, "psi": float(psi[f]), "ks": float(ks[f])}
@@ -1027,8 +863,8 @@ class QualityTracker:
             signals["score_ks"] = drift["score_ks"]
             signals["ece"] = drift["ece"]
             signals["brier"] = drift["brier"]
-        if window.executions >= self.min_executions:
-            signals["margin_psi"] = self.scorer.margin_psi(window.margin)
+        if live.n_executions >= self.min_executions:
+            signals["margin_psi"] = self.scorer.margin_psi(live.margin)
         return signals, features
 
     def signals(self, now: float | None = None) -> dict:
@@ -1068,11 +904,14 @@ class QualityTracker:
             self._g_score_psi.set(values["score_psi"])
             if not math.isnan(values["ece"]):
                 self._g_ece.set(values["ece"])
+        # The observing host's window slides here whether or not the
+        # drift event below reads it, so host windows stay bounded.
+        if host in self.hosts:
+            self.hosts[host].evict(now)
         # Building the drift event costs a second full window scoring
-        # (the per-host PSI), so skip it entirely when nobody consumes
+        # (the per-host PSI), so skip it entirely when nobody records
         # it — rule evaluation below never depends on the event.
-        emit_drift = self.tracer is not NULL_TRACER or self.archive_sink is not None
-        if host is not None and emit_drift:
+        if host is not None and self.tracer.enabled:
             # The event carries the global-window signals (what the
             # alert rules evaluate) plus the observing host's own window
             # PSI — per-host windows are smaller, so the host signal
@@ -1090,66 +929,21 @@ class QualityTracker:
                 host_max_feature_psi=host_psi,
                 **values,
             )
-            if self.archive_sink is not None:
-                # Mirror exactly what normalize_events derives from the
-                # quality.drift trace event, so live archiving and trace
-                # re-ingest produce one identical (deduplicated) segment.
-                self.archive_sink.observe_alert(
-                    ts=now,
-                    rule=DRIFT_RULE,
-                    host="*",
-                    severity="info",
-                    state="observation",
-                    value=values["max_feature_psi"],
-                )
-                if host:
-                    self.archive_sink.observe_alert(
-                        ts=now,
-                        rule=DRIFT_RULE,
-                        host=host,
-                        severity="info",
-                        state="observation",
-                        value=host_psi,
-                    )
-        for state in self.states:
-            transition = state.update(values.get(state.rule.signal, _NAN), now)
-            if transition is None:
-                continue
-            if transition["state"] == "firing":
-                self._c_fired.inc()
-            else:
-                self._c_cleared.inc()
-            self.tracer.event("quality.alert", host="*", **transition)
-            if self.archive_sink is not None:
-                self.archive_sink.observe_alert(
-                    ts=transition["ts"],
-                    rule=transition["rule"],
-                    host="*",
-                    severity=transition["severity"],
-                    state=transition["state"],
-                    value=transition["value"],
-                )
-            if self.stream is not None:
-                rule = state.rule
-                print(
-                    f"[quality] {transition['state'].upper():7s} "
-                    f"{rule.severity:8s} {rule.name}: "
-                    f"{rule.signal} {rule.op} {rule.threshold:g} "
-                    f"(value {transition['value']:.4g} at t={transition['ts']:.3f})",
-                    file=self.stream,
-                )
+        self.alerts.evaluate(values, now)
 
     # -- results -------------------------------------------------------
+    @property
+    def states(self) -> list[AlertState]:
+        """Every drift rule's state machine (:attr:`AlertBook.states`)."""
+        return self.alerts.states
+
     def drift_fired(self) -> bool:
         """Whether any drift rule has ever fired."""
-        return any(state.fired_count for state in self.states)
+        return self.alerts.fired()
 
     def critical_fired(self) -> bool:
         """Whether any critical drift rule has ever fired (CI exit gate)."""
-        return any(
-            state.rule.severity == "critical" and state.fired_count
-            for state in self.states
-        )
+        return self.alerts.critical_fired()
 
     def report(self) -> dict:
         """JSON-ready final quality report (``--quality-out``).
@@ -1180,9 +974,9 @@ class QualityTracker:
                     "windows": self.total_windows,
                     "nan_values": self.total_nan,
                 },
-                "alerts": [state.to_dict() for state in self.states],
-                "drift_fired": self.drift_fired(),
-                "critical_fired": self.critical_fired(),
+                "alerts": self.alerts.to_dicts(),
+                "drift_fired": self.alerts.fired(),
+                "critical_fired": self.alerts.critical_fired(),
             }
 
     def dump(self, path: str | Path) -> None:

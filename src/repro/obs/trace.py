@@ -161,10 +161,8 @@ class Tracer:
     def event(self, name: str, ts: float | None = None, **attrs) -> None:
         """Record a point-in-time event (no duration).
 
-        ``ts`` overrides the wall-clock timestamp; callers that fan the
-        same observation out to several sinks (e.g. a trace event plus
-        an archive record) pass one shared ``time.time()`` so every copy
-        carries the identical timestamp.
+        ``ts`` overrides the wall-clock timestamp, for observations
+        stamped by their own clock (e.g. a tracker's evaluation time).
         """
         if not self.enabled:
             return

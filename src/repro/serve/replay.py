@@ -86,8 +86,7 @@ def archived_wall_seconds(segment: SegmentData) -> float:
     """The original run's recorded wall time for speed comparisons.
 
     Prefers the ``serve.run`` span; falls back to the verdict timestamp
-    range when the segment was ingested without spans (e.g. straight
-    from an :class:`~repro.obs.archive.ArchiveSink`).
+    range when the segment holds no such span.
     """
     wall = segment.span_seconds("serve.run")
     if wall > 0:

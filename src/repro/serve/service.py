@@ -89,7 +89,6 @@ from repro.obs import (
     Registry,
     Tracer,
 )
-from repro.obs.archive import HOST_VOTE_RULE, ArchiveSink
 from repro.serve.bus import SHUTDOWN, Bus, WindowClosed, WindowFrame
 
 #: Bus messages per execution (its frame, then its close); the range of
@@ -232,11 +231,6 @@ class DetectionService:
         health: optional :class:`~repro.obs.HealthEvaluator` fed every
             verdict and classify latency in-process; it observes but
             never alters verdicts.
-        archive_sink: optional :class:`~repro.obs.archive.ArchiveSink`
-            fed every verdict and host alert with the same timestamp the
-            trace event carries, so a run archived live and the same run
-            re-ingested from its dumped trace produce one identical
-            (deduplicated) segment.
         quality: optional :class:`~repro.obs.QualityTracker` fed every
             emitted verdict's reduced feature windows and graded scores
             (keyed by host, so the tracker's per-host windows report
@@ -259,7 +253,6 @@ class DetectionService:
         tracer: Tracer | None = None,
         metrics: Registry | None = None,
         health: HealthEvaluator | None = None,
-        archive_sink: ArchiveSink | None = None,
         quality: QualityTracker | None = None,
     ) -> None:
         validate_deployment(detector, n_counters, vote_threshold)
@@ -284,11 +277,9 @@ class DetectionService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.health = health
-        self.archive_sink = archive_sink
         self.quality = quality
         self.sink = VerdictSink(
-            "serve", vote_threshold, self.tracer, self.metrics, health, quality,
-            archive=archive_sink,
+            "serve", vote_threshold, self.tracer, self.metrics, health, quality
         )
         self._metrics_lock = threading.Lock()
         self._c_host_alerts = self.metrics.counter(
@@ -379,17 +370,7 @@ class DetectionService:
             state.alerts.append(alert)
             with self._metrics_lock:
                 self._c_host_alerts.inc()
-            ts = time.time()
-            self.tracer.event("serve.alert", ts=ts, **alert)
-            if self.archive_sink is not None:
-                self.archive_sink.observe_alert(
-                    ts=ts,
-                    rule=HOST_VOTE_RULE,
-                    host=host,
-                    severity="critical",
-                    state="firing",
-                    value=fraction,
-                )
+            self.tracer.event("serve.alert", **alert)
 
     def _grade_closed(
         self, state: _RunState, frames: dict[int, np.ndarray],

@@ -219,7 +219,7 @@ def test_monitor_health_hook_observes_without_perturbing(detector4):
     assert health.window.total_verdicts == 1
     assert health.window.total_degraded == 0
     # The classify-latency window saw every classified window.
-    assert health.window._classify_n == 15
+    assert health.window._classify.total.sum() == 15
     (slo,) = health.slo_statuses()
     assert slo["ok"] is True
 

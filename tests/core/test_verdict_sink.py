@@ -17,8 +17,7 @@ from repro.core.runtime import (
 )
 from repro.hpc.faults import FaultPlan, ServiceFaultPlan
 from repro.hpc.lxc import ContainerPool
-from repro.obs import ArchiveSink, HealthEvaluator, Registry, Tracer
-from repro.obs.archive import normalize_events
+from repro.obs import HealthEvaluator, Registry, Tracer
 from repro.serve import DetectionService, ServeJob
 from repro.workloads.benign import BENIGN_FAMILIES
 from repro.workloads.dataset import MALWARE
@@ -120,18 +119,17 @@ def sink_verdict(flags=(0, 1, 1, 1), n_windows_lost=0):
     )
 
 
-def test_sink_stamps_trace_event_and_archive_row_alike():
-    tracer, archive = Tracer(), ArchiveSink(source="serve")
-    sink = VerdictSink("serve", 0.5, tracer, Registry(), None, None, archive)
+def test_sink_stamps_one_trace_event():
+    tracer = Tracer()
+    sink = VerdictSink("serve", 0.5, tracer, Registry(), None, None)
     latency = sink.emit(
         sink_verdict(), host="h", index=3, truth=True,
         readings=np.zeros((4, 4)), scores=np.zeros(4), elapsed=0.004,
     )
     assert latency == 1  # the cumulative vote reaches 0.5 at window 1
     (event,) = tracer.events
-    (row,) = archive.verdicts
-    assert row["ts"] == event["ts"]
-    assert normalize_events([event])[0] == [row]
+    assert event["name"] == "serve.verdict"
+    assert event["attrs"]["detection_latency_windows"] == 1
 
 
 def test_sink_without_elapsed_is_not_a_latency_observation():

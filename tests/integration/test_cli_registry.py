@@ -58,11 +58,13 @@ def test_train_then_serve_by_model_id(tmp_path, capsys):
     assert rc == 0
     cold_out = capsys.readouterr().out
 
-    # zero fits on the warm path, asserted from the spans themselves
+    # zero fits on the warm path, asserted from the spans themselves,
+    # and no training corpus built for a model that is only loaded
     warm_spans = _span_names(warm_trace)
-    assert "cli.fit" not in warm_spans
+    cold_spans = _span_names(cold_trace)
+    assert "cli.fit" not in warm_spans and "cli.corpus" not in warm_spans
     assert "cli.load_model" in warm_spans
-    assert "cli.fit" in _span_names(cold_trace)
+    assert "cli.fit" in cold_spans and "cli.corpus" in cold_spans
 
     # identical verdict tables (strip the throughput line, which is
     # wall-clock and legitimately differs run to run)
@@ -147,6 +149,32 @@ def test_registry_deployed_serve_replays_the_deployed_model(tmp_path, capsys):
     shutil.rmtree(registry_dir)
     with pytest.raises(SystemExit, match="no model matches"):
         main(["replay", "--archive-dir", str(archive)])
+
+
+def test_registry_deployed_serve_replays_from_another_directory(
+    tmp_path, capsys, monkeypatch
+):
+    """run_meta records the registry as an absolute path, so a run served
+    with the default relative ``--registry-dir`` replays from anywhere."""
+    served = tmp_path / "served"
+    served.mkdir()
+    monkeypatch.chdir(served)
+    assert main([
+        "train", *FAST, *CONFIG, "--registry-dir", "models", "--tag", "prod",
+    ]) == 0
+    assert main([
+        "serve", *FAST, "--stride", "3", "--model-id", "prod",
+        "--archive-dir", "archive",
+    ]) == 0
+    capsys.readouterr()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["replay", "--archive-dir", str(served / "archive")]) == 0
+    assert "6 verdicts matched bit-identical" in capsys.readouterr().out
+    manifest = json.loads((served / "archive" / "manifest.json").read_text())
+    (segment,) = manifest["segments"]
+    assert segment["run_meta"]["registry_dir"] == str((served / "models").resolve())
 
 
 def test_missing_model_is_a_clean_cli_error(tmp_path):

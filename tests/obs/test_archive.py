@@ -10,7 +10,6 @@ from repro.obs import Registry, Tracer
 from repro.obs.archive import (
     Archive,
     ArchiveError,
-    ArchiveSink,
     HOST_VOTE_RULE,
     alert_record,
     normalize_events,
@@ -240,34 +239,6 @@ def test_ingest_trace_file_matches_ingest_events(tmp_path):
     live = Archive(tmp_path / "a").ingest_events(tracer.events)
     from_file = Archive(tmp_path / "b").ingest_trace(trace_path)
     assert live.segment_id == from_file.segment_id
-
-
-def test_sink_matches_events_columns(tmp_path):
-    """A live sink and a trace of the same observations dedupe."""
-    sink = ArchiveSink(source="serve")
-    tracer = Tracer()
-    for index, (flagged, fraction) in enumerate([(False, 0.0), (True, 0.6)]):
-        ts = 50.0 + index
-        tracer.event(
-            "serve.verdict", ts=ts, app=f"app{index}", host=f"app{index}",
-            index=index, is_malware=flagged, malware_fraction=fraction,
-            n_windows=8, n_windows_lost=0, degraded=False,
-            detection_latency_windows=1 if flagged else None,
-        )
-        sink.observe_verdict(
-            ts=ts, host=f"app{index}", app=f"app{index}", execution=index,
-            is_malware=flagged, malware_fraction=fraction, n_windows=8,
-            n_windows_lost=0, degraded=False,
-            latency=1 if flagged else None,
-        )
-    archive = Archive(tmp_path)
-    from_sink = sink.ingest_into(archive)
-    verdicts, alerts, _ = normalize_events(tracer.events)
-    assert sorted(sink.verdicts, key=lambda v: v["ts"]) == verdicts
-    # same verdict/alert content -> same segment, modulo the trace's spans
-    from_events = archive.ingest_records(verdicts, alerts, [])
-    assert from_events.segment_id == from_sink.segment_id
-    assert not from_events.ingested
 
 
 def test_empty_ingest_round_trips(tmp_path):

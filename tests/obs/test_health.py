@@ -438,7 +438,7 @@ def _fill_out_of_order(signals):
 def test_monotone_clamps_stragglers_to_the_deque_tail():
     signals = SlidingWindowSignals(window_s=50.0)
     _fill_out_of_order(signals)
-    stamps = [entry[0] for entry in signals._verdicts]
+    stamps = [ts for ts, _ in signals._verdicts.entries]
     assert stamps == sorted(stamps), "clamping must keep the deque sorted"
     assert stamps == [100.0, 100.0, 105.0, 105.0, 105.0, 110.0]
 
@@ -456,8 +456,8 @@ def test_out_of_order_timestamps_never_break_eviction():
     assert signals.values(159.0)["verdicts"] == 1.0
     values = signals.values(160.0)
     assert values["verdicts"] == 0.0
-    assert not signals._verdicts and not signals._classify
-    assert signals._classify_n == 0 and signals._n_kept == 0
+    assert not signals._verdicts.entries and not signals._classify.entries
+    assert not signals._classify.total.any() and not signals._verdicts.total.any()
 
 
 def test_windowed_aggregates_match_a_from_scratch_recount():
@@ -467,14 +467,16 @@ def test_windowed_aggregates_match_a_from_scratch_recount():
     _fill_out_of_order(incremental)
     for now in (120.0, 152.0, 158.0, 161.0):
         expected = SlidingWindowSignals(window_s=50.0)
-        for entry in incremental._verdicts:  # already clamped, sorted
-            ts, alarm, degraded, kept, lost, retries = entry
+        for ts, entry in incremental._verdicts.entries:  # clamped, sorted
+            _, alarm, degraded, kept, lost, retries = entry.tolist()
             expected.observe_verdict(
                 ts, is_malware=alarm, degraded=degraded, n_windows=kept,
                 n_windows_lost=lost, retries=retries,
             )
-        for ts, index, n, total in incremental._classify:
-            expected.observe_classify(ts, total / n, n=n)
+        for ts, counts in incremental._classify.entries:
+            (index,) = counts.nonzero()[0]
+            bounds = incremental.buckets + (float("inf"),)
+            expected.observe_classify(ts, bounds[index], n=int(counts[index]))
         left = incremental.values(now)
         right = expected.values(now)
         for key in left:

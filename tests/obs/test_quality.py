@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -20,18 +21,17 @@ from repro.obs import (
     parse_quality_alert_spec,
     quality_table,
 )
-from repro.obs.archive import DRIFT_RULE
+from repro.obs.archive import DRIFT_RULE, normalize_events
 from repro.obs.health import HealthConfigError
 from repro.obs.quality import (
     DEFAULT_QUALITY_RULES,
     DriftScorer,
     _cell_indices,
     _equal_width_edges,
-    _ks,
-    _psi,
     bin_matrix,
     bin_values,
 )
+from tests.oracles.quality import bin_execution, ks, psi
 
 N_BINS = 4
 N_FEATURES = 2
@@ -141,20 +141,20 @@ def test_equal_width_edges_widen_constant_and_empty_columns():
 
 
 def test_bin_execution_empty_and_mismatched(profile):
-    contrib = profile.bin_execution(
-        np.zeros((0, N_FEATURES)), np.zeros(0), margin=float("nan")
+    contrib = bin_execution(
+        profile, np.zeros((0, N_FEATURES)), np.zeros(0), margin=float("nan")
     )
     assert contrib.n_windows == 0
     assert contrib.feature.sum() == 0 and contrib.score.sum() == 0
     assert contrib.margin.sum() == 0 and contrib.cal.sum() == 0
     with pytest.raises(QualityError):
-        profile.bin_execution(np.zeros((3, N_FEATURES + 1)), np.zeros(3))
+        bin_execution(profile, np.zeros((3, N_FEATURES + 1)), np.zeros(3))
 
 
 def test_bin_execution_tallies_nan_without_binning(profile):
     windows, scores = ref_like(profile, 6)
     windows[0, 0] = float("nan")
-    contrib = profile.bin_execution(windows, scores, margin=0.1, truth=True)
+    contrib = bin_execution(profile, windows, scores, margin=0.1, truth=True)
     assert contrib.n_nan == 1
     assert contrib.feature[0].sum() == 5  # NaN excluded from feature 0
     assert contrib.feature[1].sum() == 6
@@ -170,8 +170,8 @@ def test_bin_batch_equals_merged_bin_execution(profile):
     entries[0][0][2, 1] = float("nan")
     batched = profile.bin_batch(entries)
     merged = functools.reduce(
-        lambda a, b: a.merged(b),
-        [profile.bin_execution(w, s, m, t) for w, s, m, t in entries],
+        operator.add,
+        [bin_execution(profile, w, s, m, t) for w, s, m, t in entries],
     )
     assert np.array_equal(batched.feature, merged.feature)
     assert np.array_equal(batched.score, merged.score)
@@ -187,18 +187,18 @@ def test_bin_batch_equals_merged_bin_execution(profile):
 
 def test_psi_identical_counts_exactly_zero_and_empty_nan():
     counts = np.array([3, 10, 7, 0, 5], dtype=float)
-    assert _psi(counts, counts, epsilon=1e-4) == 0.0
-    assert math.isnan(_psi(counts, np.zeros(5), epsilon=1e-4))
-    assert math.isnan(_psi(np.zeros(5), counts, epsilon=1e-4))
-    assert _psi(counts, np.array([0, 0, 0, 20, 0]), epsilon=1e-4) > 1.0
+    assert psi(counts, counts, epsilon=1e-4) == 0.0
+    assert math.isnan(psi(counts, np.zeros(5), epsilon=1e-4))
+    assert math.isnan(psi(np.zeros(5), counts, epsilon=1e-4))
+    assert psi(counts, np.array([0, 0, 0, 20, 0]), epsilon=1e-4) > 1.0
 
 
 def test_ks_bounds():
     a = np.array([10, 0, 0, 0], dtype=float)
     b = np.array([0, 0, 0, 10], dtype=float)
-    assert _ks(a, a) == 0.0
-    assert _ks(a, b) == pytest.approx(1.0)
-    assert math.isnan(_ks(a, np.zeros(4)))
+    assert ks(a, a) == 0.0
+    assert ks(a, b) == pytest.approx(1.0)
+    assert math.isnan(ks(a, np.zeros(4)))
 
 
 def test_window_drift_matches_scalar_helpers(profile):
@@ -207,19 +207,19 @@ def test_window_drift_matches_scalar_helpers(profile):
     live_feat = rng.integers(0, 30, size=profile.feature_counts.shape)
     live_score = rng.integers(0, 30, size=profile.score_counts.shape)
     windows, scores = ref_like(profile, 20)
-    cal = profile.bin_execution(windows, scores, truth=True).cal
+    cal = bin_execution(profile, windows, scores, truth=True).cal
     drift = scorer.window_drift(live_feat, live_score, cal)
     for f in range(profile.n_features):
         assert drift["feature_psi"][f] == pytest.approx(
-            _psi(profile.feature_counts[f], live_feat[f], scorer.epsilon)
+            psi(profile.feature_counts[f], live_feat[f], scorer.epsilon)
         )
         assert drift["feature_ks"][f] == pytest.approx(
-            _ks(profile.feature_counts[f], live_feat[f])
+            ks(profile.feature_counts[f], live_feat[f])
         )
     assert drift["score_psi"] == pytest.approx(
-        _psi(profile.score_counts, live_score, scorer.epsilon)
+        psi(profile.score_counts, live_score, scorer.epsilon)
     )
-    assert drift["score_ks"] == pytest.approx(_ks(profile.score_counts, live_score))
+    assert drift["score_ks"] == pytest.approx(ks(profile.score_counts, live_score))
     cal_direct = scorer.calibration(cal)
     assert drift["ece"] == cal_direct["ece"]
     assert drift["brier"] == cal_direct["brier"]
@@ -251,7 +251,7 @@ def test_margin_psi_matches_scalar_helper(profile):
     scorer = DriftScorer(profile)
     live = np.array([0, 2, 9, 4, 0, 1], dtype=np.int64)
     assert scorer.margin_psi(live) == pytest.approx(
-        _psi(profile.margin_counts, live, scorer.epsilon)
+        psi(profile.margin_counts, live, scorer.epsilon)
     )
     assert math.isnan(scorer.margin_psi(np.zeros_like(live)))
 
@@ -261,10 +261,10 @@ def test_calibration_ece_and_brier_are_exact(profile):
     rng = np.random.default_rng(31)
     scores_neg = rng.uniform(0.0, 1.0, 50)
     scores_pos = rng.uniform(0.0, 1.0, 50)
-    cal = profile.bin_execution(
-        rng.uniform(0, 1, (50, N_FEATURES)), scores_neg, truth=False
-    ).cal + profile.bin_execution(
-        rng.uniform(0, 1, (50, N_FEATURES)), scores_pos, truth=True
+    cal = bin_execution(
+        profile, rng.uniform(0, 1, (50, N_FEATURES)), scores_neg, truth=False
+    ).cal + bin_execution(
+        profile, rng.uniform(0, 1, (50, N_FEATURES)), scores_pos, truth=True
     ).cal
     result = scorer.calibration(cal)
     s = np.concatenate([scores_neg, scores_pos])
@@ -463,7 +463,7 @@ def test_tracker_eviction_is_exact(profile):
     values = tracker.signals(now=1000.0)
     assert values["live_windows"] == 0.0
     assert math.isnan(values["max_feature_psi"])
-    assert np.all(tracker.window.feature == 0)
+    assert np.all(tracker.window.total.feature == 0)
     assert tracker.total_windows == 40  # lifetime totals never evict
 
 
@@ -547,24 +547,38 @@ def test_host_signals_and_drift_event_payload(profile):
     assert last["worst_feature"] in profile.feature_names
 
 
-def test_archive_sink_receives_drift_rows(profile):
-    class FakeSink:
-        def __init__(self):
-            self.alerts = []
-
-        def observe_alert(self, **kwargs):
-            self.alerts.append(kwargs)
-
-    sink = FakeSink()
-    tracker = make_tracker(profile, archive_sink=sink, min_windows=20)
+def test_archived_trace_carries_drift_rows(profile):
+    tracer = Tracer()
+    tracker = make_tracker(profile, tracer=tracer, min_windows=20)
     windows, scores = shifted(40)
     feed(tracker, windows, scores, host="h0")
-    rows = [a for a in sink.alerts if a["rule"] == DRIFT_RULE]
+    _, alerts, _ = normalize_events(tracer.events)
+    rows = [a for a in alerts if a["rule"] == DRIFT_RULE]
     hosts = {a["host"] for a in rows}
     assert hosts == {"*", "h0"}  # fleet row plus the observing host's row
     assert all(a["state"] == "observation" for a in rows)
-    fired = [a for a in sink.alerts if a["state"] == "firing"]
+    fired = [a for a in alerts if a["state"] == "firing"]
     assert fired and fired[0]["severity"] == "critical"
+
+
+def test_disabled_tracer_skips_the_drift_event_scoring(profile):
+    """Only the global window is scored per evaluation when the drift
+    event (which adds the observing host's window) is not recorded."""
+    tracker = make_tracker(
+        profile, tracer=Tracer(enabled=False), eval_interval_s=0.0, min_windows=20
+    )
+    scored = []
+    score = tracker._window_signals
+
+    def counting(window, now):
+        scored.append(window)
+        return score(window, now)
+
+    tracker._window_signals = counting
+    windows, scores = shifted(40)
+    feed(tracker, windows, scores, host="h0")
+    assert len(scored) == 4  # four evaluations, one scoring each
+    assert all(window is tracker.window for window in scored)
 
 
 def test_tracker_metrics_and_stream_output(profile):

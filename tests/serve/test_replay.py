@@ -115,9 +115,11 @@ def test_registry_deploy_completes_meta_in_place(tmp_path, workload):
     assert (meta["classifier"], meta["ensemble"], meta["hpcs"]) == (
         "REPTree", "general", 4
     )
+    assert meta["registry_dir"] == str(tmp_path.resolve())
     assert detector.config == workload[0].config
     names = [event.get("name") for event in tracer.events]
     assert "cli.load_model" in names and "cli.fit" not in names
+    assert "cli.corpus" not in names
 
 
 def test_replay_at_1x_is_bit_identical(archived, workload):
