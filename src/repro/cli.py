@@ -51,6 +51,7 @@ same dict, which ``replay`` deploys again.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -516,6 +517,8 @@ class _RunObs:
         self.args = args
         archiving = bool(getattr(args, "archive_dir", None))
         self.tracer = Tracer(enabled=bool(args.trace_out) or archiving)
+        # building the parser is a few ms of every command's wall time
+        self.tracer.span_ended("cli.parse", getattr(args, "parse_seconds", 0.0))
         self.metrics = Registry(enabled=bool(args.metrics_out) or archiving)
         self.health = self._health() if hasattr(args, "health_out") else None
         self.quality = self._quality() if hasattr(args, "quality_ref") else None
@@ -941,13 +944,27 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     """Fleet-wide roll-ups over the archive; optionally ingest first.
 
     ``--ingest`` rotates ``--trace-out`` JSONL files (with optional
     paired ``--ingest-metrics`` snapshots, same order) into the archive
     before querying — re-ingesting an already-archived run is a no-op.
-    ``--json`` emits the machine-readable report for CI gates.
+    ``--json`` emits the machine-readable report for CI gates; a
+    statistic with no finite value (a drift bucket of warm-up rows only,
+    a quantile of an empty histogram) is ``null``, so the output is
+    strict JSON.
     """
     import json as json_mod
 
@@ -975,7 +992,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                 archive, hosts=hosts, sources=sources,
                 since=args.since, until=args.until, bucket_s=args.bucket,
             )
-            print(json_mod.dumps(data, indent=1, sort_keys=True))
+            print(
+                json_mod.dumps(
+                    _finite_or_null(data), indent=1, sort_keys=True,
+                    allow_nan=False,
+                )
+            )
         else:
             print(
                 fleet_report(
@@ -1391,7 +1413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
+    args.parse_seconds = time.perf_counter() - started
     return args.func(args)
 
 

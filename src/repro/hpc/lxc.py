@@ -12,16 +12,24 @@ measurements of the next application.  This module models that protocol:
   event noise of any later run in the same container;
 * :class:`ContainerPool` enforces the paper's destroy-after-run policy and
   exposes a knob to disable it, so the contamination effect itself can be
-  measured (an ablation the paper motivates but does not quantify).
+  measured (an ablation the paper motivates but does not quantify);
+  :meth:`ContainerPool.run_many` runs a batch of executions with one
+  synthesis call and the same traces as one run each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from repro.hpc.microarch import DEFAULT_WINDOW_MS, ApplicationBehavior
+from repro.hpc.microarch import (
+    DEFAULT_WINDOW_MS,
+    ApplicationBehavior,
+    ExecutionDraws,
+    synthesize_executions,
+)
 
 #: Extra run-to-run noise added per contaminated prior run.
 CONTAMINATION_SIGMA_STEP: float = 0.08
@@ -48,6 +56,31 @@ class Container:
     destroyed: bool = field(default=False, repr=False)
     runs_executed: int = field(default=0, repr=False)
 
+    def draw(
+        self, app: ApplicationBehavior, n_windows: int, is_malware: bool
+    ) -> ExecutionDraws:
+        """Take one execution's random draws from the container's stream.
+
+        The execution draws from its own generator,
+        ``default_rng((seed, runs_executed))``, with run-to-run noise
+        widened by the contamination level; a malicious run then
+        contaminates the container for the runs after it.
+
+        Raises:
+            ContainerDestroyedError: if the container was destroyed.
+        """
+        if self.destroyed:
+            raise ContainerDestroyedError(
+                f"container {self.container_id} has been destroyed"
+            )
+        rng = np.random.default_rng((self.seed, self.runs_executed))
+        run_sigma = 0.05 + CONTAMINATION_SIGMA_STEP * self.contamination_level
+        draws = app.draw(n_windows, rng, run_sigma)
+        self.runs_executed += 1
+        if is_malware:
+            self.contamination_level += 1
+        return draws
+
     def execute(
         self,
         app: ApplicationBehavior,
@@ -70,16 +103,9 @@ class Container:
         Raises:
             ContainerDestroyedError: if the container was destroyed.
         """
-        if self.destroyed:
-            raise ContainerDestroyedError(
-                f"container {self.container_id} has been destroyed"
-            )
-        rng = np.random.default_rng((self.seed, self.runs_executed))
-        run_sigma = 0.05 + CONTAMINATION_SIGMA_STEP * self.contamination_level
-        trace = app.execute(n_windows, rng, window_ms=window_ms, run_sigma=run_sigma)
-        self.runs_executed += 1
-        if is_malware:
-            self.contamination_level += 1
+        (trace,) = synthesize_executions(
+            [self.draw(app, n_windows, is_malware)], window_ms
+        )
         return trace
 
     def destroy(self) -> None:
@@ -119,12 +145,36 @@ class ContainerPool:
         window_ms: float = DEFAULT_WINDOW_MS,
     ) -> np.ndarray:
         """Execute one application under the pool's isolation policy."""
-        if self.destroy_after_run:
-            container = self._create()
-            try:
-                return container.execute(app, n_windows, is_malware, window_ms)
-            finally:
-                container.destroy()
-        if self._reused is None:
-            self._reused = self._create()
-        return self._reused.execute(app, n_windows, is_malware, window_ms)
+        (trace,) = self.run_many([(app, n_windows, is_malware)], window_ms)
+        return trace
+
+    def run_many(
+        self,
+        jobs: Iterable[tuple[ApplicationBehavior, int, bool]],
+        window_ms: float = DEFAULT_WINDOW_MS,
+    ) -> list[np.ndarray]:
+        """Execute ``(app, n_windows, is_malware)`` jobs in order.
+
+        Each job runs in the container :meth:`run` would give it and
+        takes its draws from that container's stream, in job order, so
+        pool state and traces equal those of one :meth:`run` per job.
+        The windows of all jobs are then synthesized in one kernel call
+        (:func:`~repro.hpc.microarch.synthesize_executions`).
+
+        Returns:
+            One ``(n_windows, 44)`` trace per job; the traces of several
+            jobs are views of one array.
+        """
+        draws = []
+        for app, n_windows, is_malware in jobs:
+            if self.destroy_after_run:
+                container = self._create()
+                try:
+                    draws.append(container.draw(app, n_windows, is_malware))
+                finally:
+                    container.destroy()
+                continue
+            if self._reused is None:
+                self._reused = self._create()
+            draws.append(self._reused.draw(app, n_windows, is_malware))
+        return synthesize_executions(draws, window_ms)

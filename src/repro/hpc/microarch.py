@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -448,6 +450,23 @@ class ApplicationBehavior:
         rng.random(position + n_windows - window)
         return schedule
 
+    def draw(
+        self, n_windows: int, rng: np.random.Generator, run_sigma: float = 0.05
+    ) -> "ExecutionDraws":
+        """Take every random draw of one execution, in stream order.
+
+        The perturbation of the phase parameters (run-to-run variation),
+        the phase schedule, then one standard-normal draw for all the
+        windows' jitters.  :func:`synthesize_executions` turns any
+        number of draws into traces.
+        """
+        if n_windows <= 0:
+            raise ValueError(f"n_windows must be positive, got {n_windows}")
+        rates = _perturb_rates(self._rates, rng, run_sigma)
+        schedule = self.phase_schedule(n_windows, rng)
+        noise = rng.standard_normal(_N_JITTERS * n_windows)
+        return ExecutionDraws(self, rates, schedule, noise)
+
     def execute(
         self,
         n_windows: int,
@@ -469,39 +488,93 @@ class ApplicationBehavior:
         Returns:
             Array of shape ``(n_windows, 44)`` in ``ALL_EVENTS`` order.
         """
-        if n_windows <= 0:
-            raise ValueError(f"n_windows must be positive, got {n_windows}")
-        rates = _perturb_rates(self._rates, rng, run_sigma)
-        schedule = self.phase_schedule(n_windows, rng)
-        noise = _window_noise(schedule, rng)
-        return _synthesize(
-            rates.T[:, schedule],
-            self._noise_sigmas[schedule],
-            noise,
-            window_ms,
-            DEFAULT_FREQUENCY_HZ,
+        (trace,) = synthesize_executions(
+            [self.draw(n_windows, rng, run_sigma)], window_ms
         )
+        return trace
 
 
-def _window_noise(schedule: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One standard-normal draw for a whole schedule, in window order.
+class ExecutionDraws(NamedTuple):
+    """The random draws of one execution (:meth:`ApplicationBehavior.draw`).
 
-    The draw is consumed as consecutive per-phase blocks, in phase-index
-    order: a phase visited for ``n_p`` windows takes ``42 * n_p`` draws
-    laid out ``(42, n_p)``, the shape its own :func:`synthesize_windows`
-    call would draw.  The blocks are put side by side and their columns
-    gathered back to window order.
+    Attributes:
+        app: the executed application.
+        rates: perturbed latent rates, ``(n_phases, 19)``.
+        schedule: phase index of every window.
+        noise: ``42 * n_windows`` standard normals, consumed as
+            consecutive per-phase blocks in phase-index order: a phase
+            visited for ``n_p`` windows takes ``42 * n_p`` draws laid out
+            ``(42, n_p)``, the shape its own :func:`synthesize_windows`
+            call would draw.
+    """
+
+    app: ApplicationBehavior
+    rates: np.ndarray
+    schedule: np.ndarray
+    noise: np.ndarray
+
+
+def synthesize_executions(
+    draws: Sequence[ExecutionDraws], window_ms: float = DEFAULT_WINDOW_MS
+) -> list[np.ndarray]:
+    """Turn drawn executions into their traces with one kernel call.
+
+    The kernel is elementwise per window, so the windows of every
+    execution are synthesized side by side and the result is cut back
+    into one ``(n_windows, 44)`` view per execution; each trace is
+    byte-equal to synthesizing its execution alone.  Every phase of
+    every execution gets one row of a stacked rate table, and windows
+    index it by that row.  A single execution passes its arrays
+    through without copies.
+    """
+    if not draws:
+        return []
+    if len(draws) == 1:
+        ((app, rates, rows, noise),) = draws
+        sigmas = app._noise_sigmas
+    else:
+        offsets = accumulate((len(d.rates) for d in draws[:-1]), initial=0)
+        rates = np.concatenate([d.rates for d in draws])
+        sigmas = np.concatenate([d.app._noise_sigmas for d in draws])
+        rows = np.concatenate([d.schedule + o for d, o in zip(draws, offsets)])
+        noise = np.concatenate([d.noise for d in draws])
+    trace = _synthesize(
+        rates.T[:, rows],
+        sigmas[rows],
+        _window_noise(rows, noise),
+        window_ms,
+        DEFAULT_FREQUENCY_HZ,
+    )
+    if len(draws) == 1:
+        return [trace]
+    bounds = list(accumulate((d.schedule.size for d in draws), initial=0))
+    return [trace[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+#: Jitter row index, broadcast against per-window offsets.
+_JITTER_ROWS = np.arange(_N_JITTERS)[:, None]
+
+
+def _window_noise(rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Lay the jitter draws of stacked executions out in window order.
+
+    ``rows`` holds each window's row of the stacked rate table, which
+    grows with (execution, phase), so a stable sort by it groups the
+    windows exactly as ``noise`` holds their blocks: the group of row
+    ``g`` starts at window position ``S_g`` in sorted order, spans
+    ``n_g`` windows, and owns the ``(42, n_g)`` block at ``42 * S_g``.
+    Window ``w`` at sorted position ``p`` reads jitter ``k`` at
+    ``42 * S_g + k * n_g + (p - S_g)``.
 
     Returns:
-        Array ``(42, len(schedule))``; column ``w`` holds window ``w``'s
+        Array ``(42, len(rows))``; column ``w`` holds window ``w``'s
         jitter draws.
     """
-    n = schedule.size
-    draws = rng.standard_normal(_N_JITTERS * n)
-    sizes = np.bincount(schedule)
-    blocks = np.split(draws, np.cumsum(_N_JITTERS * sizes)[:-1])
-    grouped = np.concatenate([block.reshape(_N_JITTERS, -1) for block in blocks], axis=1)
-    # rank[w]: position of window w once windows are grouped by phase
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(schedule, kind="stable")] = np.arange(n)
-    return grouped[:, rank]
+    n = rows.size
+    position = np.empty(n, dtype=np.intp)
+    position[np.argsort(rows, kind="stable")] = np.arange(n)
+    sizes = np.bincount(rows)
+    starts = np.cumsum(sizes) - sizes
+    index = _JITTER_ROWS * sizes[rows]
+    index += position + (_N_JITTERS - 1) * starts[rows]
+    return noise.take(index)

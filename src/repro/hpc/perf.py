@@ -66,6 +66,11 @@ class BatchedCollection:
     artifact that makes multi-run collection unusable for run-time
     detection and motivates the paper.
 
+    All runs of one collection are one
+    :meth:`~repro.hpc.lxc.ContainerPool.run_many` call: each run still
+    gets its own container and random stream, in batch order, and the
+    simulator synthesizes the windows of all of them at once.
+
     Args:
         n_counters: programmable registers available (4 on Xeon X5550).
         window_ms: sampling interval (paper: 10 ms).
@@ -88,8 +93,10 @@ class BatchedCollection:
         batches = batch_events(events, self.n_counters)
         samples = np.zeros((n_windows, len(events)))
         col = {name: i for i, name in enumerate(events)}
-        for batch in batches:
-            trace = pool.run(app, n_windows, is_malware, window_ms=self.window_ms)
+        traces = pool.run_many(
+            [(app, n_windows, is_malware)] * len(batches), window_ms=self.window_ms
+        )
+        for batch, trace in zip(batches, traces):
             register_file = CounterRegisterFile(self.n_counters)
             register_file.program(batch)
             readings = sample_trace(register_file, trace, ALL_EVENTS)

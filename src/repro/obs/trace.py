@@ -158,6 +158,18 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, attrs)
 
+    def span_ended(self, name: str, seconds: float) -> None:
+        """Record a span for work that took ``seconds`` and ended now.
+
+        For work done before this tracer existed, such as parsing the
+        command line that enabled it.
+        """
+        if not self.enabled:
+            return
+        with self.span(name) as span:
+            span._start -= seconds
+            span._wall -= seconds
+
     def event(self, name: str, ts: float | None = None, **attrs) -> None:
         """Record a point-in-time event (no duration).
 

@@ -6,11 +6,18 @@ long-running shape the paper's run-time argument actually implies —
 detection *while programs execute*, as a pipeline of concurrent stages
 over the bounded queue fabric in :mod:`repro.serve.bus`:
 
-* **producers** execute applications on the container substrate and
-  publish each execution's sampling windows as one
+* **producers** claim a bounded, contiguous run of executions (at most
+  ``queue_depth // 2`` executions and about 512 windows; a longer
+  execution is a claim of its own), simulate the whole claim with one
+  :meth:`~repro.hpc.lxc.ContainerPool.run_many` call, then publish each
+  execution's sampling windows as one
   :class:`~repro.serve.bus.WindowFrame`, then a
-  :class:`~repro.serve.bus.WindowClosed` marker, blocking on
-  backpressure when the detector side is saturated;
+  :class:`~repro.serve.bus.WindowClosed` marker, in submission order,
+  blocking on backpressure when the detector side is saturated.  The
+  trade: one synthesis call per claim instead of one per execution, and
+  a worker that drains the whole claim grades it in one classify call,
+  but the first verdict of a claim waits for the simulation of all of
+  it;
 * **sharded detector workers** each own the hosts that hash to their
   channel.  A worker wakes on one blocking consume, drains whatever
   else is already queued, and grades every execution closed in that
@@ -27,8 +34,8 @@ over the bounded queue fabric in :mod:`repro.serve.bus`:
   applies to the substrate) and keeps the verdict stream total.
 
 Crash recovery without duplicate verdicts: before publishing anything,
-a producer registers the execution's full trace in an in-memory
-**ledger** (the durable store — the role Redis plays in
+a producer registers the full trace of every execution of its claim in
+an in-memory **ledger** (the durable store — the role Redis plays in
 StratosphereLinuxIPS).  Workers hold frames by execution, first copy
 wins, so redelivered frames are idempotent, and a replacement worker
 incarnation rebuilds its state straight from the ledger instead of
@@ -41,10 +48,13 @@ is batched with), the verdicts are bit-identical to a serial
 :class:`~repro.core.runtime.RuntimeMonitor` sweep whether or not
 workers crashed along the way.
 
-Determinism contract: execution ``i`` runs in a private
-:class:`~repro.hpc.lxc.ContainerPool` seeded ``pool_seed + i`` — the
-same container-seed sequence a serial monitor draws from one shared
-pool — so verdicts (and their order in the report, which is submission
+Determinism contract: execution ``i`` runs in the container seeded
+``pool_seed + i`` (a claim starting at execution ``k`` runs in one
+:class:`~repro.hpc.lxc.ContainerPool` seeded ``pool_seed + k``, whose
+``j``-th container is seeded ``pool_seed + k + j``) — the same
+container-seed sequence a serial monitor draws from one shared pool, and
+``run_many`` gives every execution the trace a lone run would — so
+verdicts (and their order in the report, which is submission
 order) are bit-identical to serial monitoring at any producer × worker
 geometry.  With multiple producers the *interleaving* of per-host alert
 events may vary; the verdicts never do.
@@ -94,6 +104,10 @@ from repro.serve.bus import SHUTDOWN, Bus, WindowClosed, WindowFrame
 #: Bus messages per execution (its frame, then its close); the range of
 #: injected crash draws, so crashes land mid-execution.
 _MESSAGES_PER_EXECUTION = 2
+
+#: Windows a producer simulates in one claim.  A longer execution is a
+#: claim of its own; a claim's first verdict waits for all of it.
+_CLAIM_WINDOWS = 512
 
 
 @dataclass(frozen=True)
@@ -210,7 +224,8 @@ class DetectionService:
         producers: concurrent execution/publish threads.
         workers: sharded detector workers (and shard channels).
         queue_depth: bound of each shard channel — the backpressure
-            knob: smaller depths throttle producers sooner.
+            knob: smaller depths throttle producers sooner.  A producer
+            claims at most ``queue_depth // 2`` executions at a time.
         n_counters: physical counter registers per monitored host.
         vote_threshold: quorum fraction for per-execution verdicts and
             the per-host sliding vote window.
@@ -316,30 +331,49 @@ class DetectionService:
         )
 
     # -- producers ------------------------------------------------------
+    def _claim(self, state: _RunState) -> list[_ExecutionRecord]:
+        """Take the next contiguous run of unclaimed records.
+
+        A claim holds at most ``queue_depth // 2`` executions (so its
+        frames and closes fit one channel) and stops before its windows
+        would pass :data:`_CLAIM_WINDOWS`; its first record always fits.
+        """
+        records = state.records
+        limit = max(self.queue_depth // 2, 1)
+        with state.job_lock:
+            first = end = state.next_job
+            windows = 0
+            while end < len(records) and end - first < limit:
+                windows += records[end].job.n_windows
+                if end > first and windows > _CLAIM_WINDOWS:
+                    break
+                end += 1
+            state.next_job = end
+        return records[first:end]
+
     def _produce(self, state: _RunState) -> None:
-        """Claim executions, run them, and publish each as one frame."""
-        while True:
-            with state.job_lock:
-                if state.next_job >= len(state.records):
-                    return
-                record = state.records[state.next_job]
-                state.next_job += 1
-            job = record.job
-            pool = ContainerPool(seed=self.pool_seed + record.index)
-            trace = pool.run(
-                job.app, job.n_windows, job.is_malware, window_ms=self.window_ms
+        """Claim executions, simulate each claim at once, then publish
+        every execution of it as one frame and its close."""
+        while claim := self._claim(state):
+            pool = ContainerPool(seed=self.pool_seed + claim[0].index)
+            traces = pool.run_many(
+                [(r.job.app, r.job.n_windows, r.job.is_malware) for r in claim],
+                window_ms=self.window_ms,
             )
             # Ledger before wire: recovery must never see less than a
             # worker could have consumed.
-            record.trace = trace
-            channel = state.bus.shards[record.shard]
-            channel.publish(WindowFrame(job.host_name, record.index, trace))
-            record.closed = True
-            channel.publish(
-                WindowClosed(
-                    record.job.host_name, record.index, job.app.name, job.n_windows
+            for record, trace in zip(claim, traces):
+                record.trace = trace
+            for record, trace in zip(claim, traces):
+                job = record.job
+                channel = state.bus.shards[record.shard]
+                channel.publish(WindowFrame(job.host_name, record.index, trace))
+                record.closed = True
+                channel.publish(
+                    WindowClosed(
+                        job.host_name, record.index, job.app.name, job.n_windows
+                    )
                 )
-            )
 
     # -- workers --------------------------------------------------------
     def _observe_host(

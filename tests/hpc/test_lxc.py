@@ -85,3 +85,79 @@ def test_pool_deterministic_given_seed():
     a = ContainerPool(seed=3, destroy_after_run=True).run(_app(), 4, False)
     b = ContainerPool(seed=3, destroy_after_run=True).run(_app(), 4, False)
     np.testing.assert_allclose(a, b)
+
+
+# -- run_many: one synthesis call, the traces of one run per job --------
+
+
+def _mixed_jobs():
+    """Window counts 1, 6, 20 and 640; benign and malicious; apps of one,
+    two and three phases."""
+    apps = [
+        _app("one"),
+        ApplicationBehavior(
+            "two",
+            [PhaseMix(PhaseParameters(ipc=0.7), 1.0),
+             PhaseMix(PhaseParameters(ipc=2.1, noise_sigma=0.2), 0.5)],
+            mean_dwell_windows=3.0,
+        ),
+        ApplicationBehavior(
+            "three",
+            [PhaseMix(PhaseParameters(llc_miss_rate=0.6), 0.3),
+             PhaseMix(PhaseParameters(), 1.0),
+             PhaseMix(PhaseParameters(branch_ratio=0.3), 0.6)],
+            mean_dwell_windows=5.0,
+        ),
+    ]
+    sizes = (1, 6, 20, 640, 20, 6, 1, 20)
+    return [
+        (apps[i % len(apps)], n, i % 3 == 1) for i, n in enumerate(sizes)
+    ]
+
+
+def _pool_state(pool):
+    reused = pool._reused
+    return (
+        pool.containers_created,
+        pool._next_id,
+        None if reused is None else (reused.contamination_level, reused.runs_executed),
+    )
+
+
+@pytest.mark.parametrize("destroy", [True, False])
+def test_run_many_is_byte_equal_to_sequential_runs_and_the_reference(destroy):
+    from tests.oracles.hpc import run_many_per_execution
+
+    jobs = _mixed_jobs()
+    batched_pool = ContainerPool(seed=9, destroy_after_run=destroy)
+    serial_pool = ContainerPool(seed=9, destroy_after_run=destroy)
+    reference_pool = ContainerPool(seed=9, destroy_after_run=destroy)
+    batched = batched_pool.run_many(jobs)
+    serial = [serial_pool.run(*job) for job in jobs]
+    reference = run_many_per_execution(reference_pool, jobs)
+    assert len(batched) == len(jobs)
+    for trace, alone, ref, (_, n_windows, _) in zip(batched, serial, reference, jobs):
+        assert trace.shape == (n_windows, 44)
+        assert trace.tobytes() == alone.tobytes() == ref.tobytes()
+    state = _pool_state(batched_pool)
+    assert state == _pool_state(serial_pool) == _pool_state(reference_pool)
+    n_malware = sum(is_malware for _, _, is_malware in jobs)
+    if destroy:
+        assert state == (len(jobs), len(jobs), None)
+    else:
+        assert state == (1, 1, (n_malware, len(jobs)))
+    # the pools continue identically
+    later = (jobs[2][0], 20, False)
+    assert batched_pool.run(*later).tobytes() == serial_pool.run(*later).tobytes()
+
+
+def test_run_many_of_one_job_passes_the_trace_through():
+    (trace,) = ContainerPool(seed=4).run_many([(_app(), 20, False)])
+    assert trace.base is None
+    assert trace.flags.c_contiguous
+
+
+def test_run_many_of_no_jobs_runs_nothing():
+    pool = ContainerPool(seed=2, destroy_after_run=False)
+    assert pool.run_many([]) == []
+    assert _pool_state(pool) == (0, 0, None)

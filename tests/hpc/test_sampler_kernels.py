@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hpc.lxc import CONTAMINATION_SIGMA_STEP
+from repro.hpc.lxc import CONTAMINATION_SIGMA_STEP, ContainerPool
 from repro.hpc.microarch import (
     ApplicationBehavior,
     PhaseMix,
@@ -237,7 +237,9 @@ def test_retired_hpc_patches_and_restores_every_import_site():
             assert module.sample_trace is oracle.sample_trace_per_window
         assert hpc.synthesize_windows is oracle.synthesize_windows_per_jitter
         assert ApplicationBehavior.execute is oracle.execute_per_phase
+        assert ContainerPool.run_many is oracle.run_many_per_execution
     for module in (counters, hpc, perf, runtime):
         assert module.sample_trace is shipped[0]
     assert hpc.synthesize_windows is shipped[1]
     assert ApplicationBehavior.execute is not oracle.execute_per_phase
+    assert ContainerPool.run_many is not oracle.run_many_per_execution

@@ -590,6 +590,38 @@ def test_report_host_filter(capsys, tmp_path):
     assert data["verdicts"] == 1
 
 
+def test_report_json_writes_non_finite_statistics_as_null(capsys, tmp_path):
+    """A drift bucket holding only warm-up rows has no finite PSI; the
+    JSON report carries null there and parses as strict JSON."""
+    import json
+
+    from repro.obs.archive import Archive
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    Archive(tmp_path / "arch").ingest_events(
+        [
+            {
+                "type": "event", "name": "quality.drift", "ts": ts,
+                "attrs": {
+                    "host": "web-1", "worst_feature": "f0",
+                    "max_feature_psi": None, "host_max_feature_psi": None,
+                },
+            }
+            for ts in (10.0, 20.0)
+        ],
+        source="serve",
+    )
+    rc = main(["report", "--archive-dir", str(tmp_path / "arch"), "--json"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert data["drift_trend"]
+    for row in data["drift_trend"]:
+        assert row["observations"] == 2
+        assert row["mean_psi"] is None and row["max_psi"] is None
+
+
 def test_profile_command_writes_loadable_profile(capsys, tmp_path):
     from repro.obs import ReferenceProfile
 

@@ -20,6 +20,22 @@ def test_span_records_duration_and_name():
     assert event["attrs"] == {"size": 3}
 
 
+def test_span_ended_back_dates_a_root_span():
+    import time
+
+    tracer = Tracer()
+    before = time.time()
+    tracer.span_ended("cli.parse", 2.0)
+    (event,) = tracer.events
+    assert event["name"] == "cli.parse"
+    assert event["parent_id"] is None
+    assert 2.0 <= event["dur"] < 2.5
+    assert event["ts"] <= before - 1.5
+    disabled = Tracer(enabled=False)
+    disabled.span_ended("cli.parse", 2.0)
+    assert disabled.events == []
+
+
 def test_span_nesting_records_parentage():
     tracer = Tracer()
     with tracer.span("outer") as outer:

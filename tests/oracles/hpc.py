@@ -15,6 +15,8 @@ the same stream position.
   per window.
 * :func:`execute_per_phase` — the four above composed the way
   ``ApplicationBehavior.execute`` used to compose them.
+* :func:`run_many_per_execution` — one container execution, hence one
+  :func:`execute_per_phase`, per job.
 
 :func:`retired_hpc` patches all of them into the package at once, so a
 whole pipeline (e.g. a corpus build) can be run on the retired paths
@@ -26,13 +28,14 @@ from __future__ import annotations
 import dataclasses
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.hpc import counters, microarch
 from repro.hpc.counters import CounterRegisterFile, CounterStateError
 from repro.hpc.events import ALL_EVENTS
+from repro.hpc.lxc import CONTAMINATION_SIGMA_STEP, ContainerPool
 from repro.hpc.microarch import (
     DEFAULT_FREQUENCY_HZ,
     DEFAULT_WINDOW_MS,
@@ -262,6 +265,41 @@ def execute_per_phase(
     return trace
 
 
+def run_many_per_execution(
+    pool: ContainerPool,
+    jobs: Iterable[tuple[ApplicationBehavior, int, bool]],
+    window_ms: float = DEFAULT_WINDOW_MS,
+) -> list[np.ndarray]:
+    """Execution-at-a-time pool (reference for ``ContainerPool.run_many``).
+
+    Every job runs in the container the pool's policy gives it, from
+    that container's own stream, and contaminates it when malicious.
+    """
+    traces = []
+    for app, n_windows, is_malware in jobs:
+        if pool.destroy_after_run:
+            container = pool._create()
+        else:
+            if pool._reused is None:
+                pool._reused = pool._create()
+            container = pool._reused
+        rng = np.random.default_rng((container.seed, container.runs_executed))
+        run_sigma = 0.05 + CONTAMINATION_SIGMA_STEP * container.contamination_level
+        try:
+            traces.append(
+                execute_per_phase(
+                    app, n_windows, rng, window_ms=window_ms, run_sigma=run_sigma
+                )
+            )
+            container.runs_executed += 1
+            if is_malware:
+                container.contamination_level += 1
+        finally:
+            if pool.destroy_after_run:
+                container.destroy()
+    return traces
+
+
 @contextmanager
 def retired_hpc() -> Iterator[None]:
     """Run every sampler and simulator call inside the block on the
@@ -291,6 +329,7 @@ def retired_hpc() -> Iterator[None]:
             phase_schedule_per_draw,
         ),
         (ApplicationBehavior, "execute", ApplicationBehavior.execute, execute_per_phase),
+        (ContainerPool, "run_many", ContainerPool.run_many, run_many_per_execution),
     ]
     try:
         for owner, name, _, retired in patches:

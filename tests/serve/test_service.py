@@ -16,6 +16,7 @@ from repro.obs import HealthEvaluator, Registry, Tracer
 from repro.serve import (
     SHUTDOWN,
     Bus,
+    Channel,
     DetectionService,
     ServeJob,
     ServiceReport,
@@ -246,6 +247,140 @@ def test_ledger_drops_each_trace_once_its_verdict_is_recorded(
     assert [record.trace for record in state.records] == [None] * len(jobs)
     if faults is not None:
         assert report.worker_crashes > 0
+
+
+# -- claims: producers simulate a bounded run of executions at once ----
+
+#: Two long executions among short ones, then 30 short ones in a row:
+#: the stream spans several claims and hits both claim bounds.
+CLAIM_WINDOWS = (20, 20, 640, 20, 20, 20, 20, 640) + (20,) * 32
+
+
+@pytest.fixture(scope="module")
+def claim_jobs(jobs):
+    return [
+        ServeJob(jobs[i % len(jobs)].app, n, jobs[i % len(jobs)].is_malware)
+        for i, n in enumerate(CLAIM_WINDOWS)
+    ]
+
+
+@pytest.fixture(scope="module")
+def claim_serial_verdicts(detector4, claim_jobs):
+    monitor = RuntimeMonitor(detector4, n_counters=4)
+    return [
+        monitor.monitor(
+            job.app, job.n_windows, ContainerPool(seed=POOL_SEED + i), job.is_malware
+        )
+        for i, job in enumerate(claim_jobs)
+    ]
+
+
+def _spy_claims(monkeypatch):
+    """Record the window counts of every ``run_many`` call."""
+    calls = []
+    run_many = ContainerPool.run_many
+
+    def spying(self, jobs, window_ms=10.0):
+        calls.append([n_windows for _, n_windows, _ in jobs])
+        return run_many(self, jobs, window_ms)
+
+    monkeypatch.setattr(ContainerPool, "run_many", spying)
+    return calls
+
+
+@pytest.mark.parametrize("queue_depth,claims", [
+    # at most 32 executions and 512 windows, unless one execution is longer
+    (64, [[20, 20], [640], [20] * 4, [640], [20] * 25, [20] * 7]),
+    # at most 4 executions
+    (8, [[20, 20], [640], [20] * 4, [640]] + [[20] * 4] * 8),
+])
+def test_a_producer_claims_bounded_runs_of_executions(
+    detector4, claim_jobs, claim_serial_verdicts, monkeypatch, queue_depth, claims
+):
+    calls = _spy_claims(monkeypatch)
+    service = DetectionService(
+        detector4, queue_depth=queue_depth, pool_seed=POOL_SEED
+    )
+    report = service.run(claim_jobs)
+    assert calls == claims
+    assert list(report.verdicts) == claim_serial_verdicts
+
+
+@pytest.mark.parametrize("faults", [
+    None, ServiceFaultPlan(seed=3, worker_crash_rate=0.9, max_crashes_per_worker=3),
+])
+@pytest.mark.parametrize("producers,workers", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_claimed_streams_are_bit_identical_and_ledgered_before_the_wire(
+    detector4, claim_jobs, claim_serial_verdicts, monkeypatch,
+    producers, workers, faults,
+):
+    """Mixed short and long executions over several claims: verdicts
+    equal a serial sweep at every geometry, with or without worker
+    crashes, and every published frame is the ledger trace of its
+    execution, already set when it goes on the wire."""
+    states = []
+    published = []
+
+    class Recorded(_RunState):
+        def __init__(self, records, bus):
+            super().__init__(records, bus)
+            states.append(self)
+
+    publish = Channel.publish
+
+    def checking(self, message):
+        if isinstance(message, WindowFrame):
+            record = states[0].records[message.execution]
+            published.append(record.trace is message.rows)
+        publish(self, message)
+
+    monkeypatch.setattr("repro.serve.service._RunState", Recorded)
+    monkeypatch.setattr(Channel, "publish", checking)
+    service = DetectionService(
+        detector4,
+        producers=producers,
+        workers=workers,
+        queue_depth=16,
+        pool_seed=POOL_SEED,
+        faults=faults,
+    )
+    report = service.run(claim_jobs)
+    assert list(report.verdicts) == claim_serial_verdicts
+    assert (report.worker_crashes > 0) == (faults is not None)
+    assert published == [True] * len(claim_jobs)
+    (state,) = states
+    assert all(record.closed for record in state.records)
+    assert [record.trace for record in state.records] == [None] * len(claim_jobs)
+
+
+def test_claims_under_fast_thread_switching_stay_bit_identical(
+    detector4, claim_jobs, claim_serial_verdicts
+):
+    """Stress: three producers racing for multi-execution claims, four
+    workers on two cores, a tiny switch interval and crash chaos."""
+    service = DetectionService(
+        detector4,
+        producers=3,
+        workers=4,
+        queue_depth=16,
+        pool_seed=POOL_SEED,
+        faults=ServiceFaultPlan(
+            seed=7, worker_crash_rate=0.9, max_crashes_per_worker=3
+        ),
+    )
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: reports.append(service.run(claim_jobs)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "service run did not finish"
+    assert list(reports[0].verdicts) == claim_serial_verdicts
 
 
 # -- drain-batching: one classify call per drained batch ----------------
