@@ -1,8 +1,9 @@
 """Shared benchmark fixtures: corpus, splits, and the cached result grid.
 
 The paper's full evaluation grid (96 detector variants) takes minutes to
-train, so it is computed once per machine and cached as JSON next to this
-file; every bench then re-renders its table from the cache and benchmarks
+train, so it is computed once per machine into the per-record result
+cache under ``.bench_cache/`` next to this file; every bench then
+re-renders its table from the cache (zero fits when warm) and benchmarks
 a representative computation.  Delete ``.bench_cache`` to force a
 recompute (e.g. after changing the workload model).
 """
@@ -15,8 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.matrix import load_records, paper_grid, save_records, table3_grid
-from repro.analysis.parallel import ParallelMatrixRunner
+from repro.analysis.matrix import MatrixRunner, paper_grid, table3_grid
 from repro.core.config import DetectorConfig
 from repro.features import rank_features
 from repro.ml.validation import app_level_split
@@ -65,39 +65,28 @@ def result_cache():
 
 @pytest.fixture(scope="session")
 def runner(corpus, result_cache):
-    """Parallel, cache-backed grid runner (REPRO_BENCH_WORKERS overrides)."""
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0")) or None
-    return ParallelMatrixRunner(
+    """Parallel, cache-backed grid runner (REPRO_BENCH_WORKERS overrides
+    the CPU count)."""
+    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0")) or os.cpu_count() or 1
+    return MatrixRunner(
         corpus, train_fraction=0.7, seeds=(SPLIT_SEED,),
         workers=workers, cache=result_cache,
     )
 
 
-def _cached(name: str, compute):
-    CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"{CACHE_VERSION}_{name}.json"
-    if path.exists():
-        return load_records(path)
-    records = compute()
-    save_records(path, records)
-    return records
-
-
 @pytest.fixture(scope="session")
 def grid_records(runner):
     """All 96 eval records behind Figures 3/5 and Table 2 (cached)."""
-    return _cached("grid", lambda: runner.evaluate_grid(paper_grid()))
+    return runner.evaluate_grid(paper_grid())
 
 
 @pytest.fixture(scope="session")
 def hardware_records(runner):
     """The 24 hardware records of Table 3 (cached)."""
-    return _cached("hardware", lambda: runner.hardware_grid(table3_grid()))
+    return runner.hardware_grid(table3_grid())
 
 
 @pytest.fixture(scope="session")
 def roc_records(runner):
     """Figure 4's ROC curves (cached)."""
-    return _cached(
-        "roc", lambda: [runner.roc(c) for c in FIG4A_CONFIGS + FIG4B_CONFIGS]
-    )
+    return runner.roc_grid(FIG4A_CONFIGS + FIG4B_CONFIGS)

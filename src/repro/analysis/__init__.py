@@ -4,7 +4,6 @@ from repro.analysis.cache import (
     CacheError,
     CacheStats,
     ResultCache,
-    atomic_write_text,
     dataset_fingerprint,
     record_cache_key,
 )
@@ -17,12 +16,9 @@ from repro.analysis.crossval import (
 from repro.analysis.matrix import (
     MatrixRunner,
     MatrixTiming,
-    load_records,
     paper_grid,
-    save_records,
     table3_grid,
 )
-from repro.analysis.parallel import ParallelMatrixRunner, make_matrix_runner
 from repro.analysis.pareto import (
     DesignPoint,
     join_records,
@@ -52,18 +48,14 @@ __all__ = [
     "HardwareRecord",
     "MatrixRunner",
     "MatrixTiming",
-    "ParallelMatrixRunner",
     "ResultCache",
     "RocRecord",
-    "atomic_write_text",
     "dataset_fingerprint",
     "figure3_table",
     "figure4_report",
     "figure5_table",
     "improvement_summary",
     "join_records",
-    "load_records",
-    "make_matrix_runner",
     "pareto_front",
     "pareto_table",
     "recommend_counters",
@@ -72,7 +64,6 @@ __all__ = [
     "roc_ascii",
     "cross_validated_record",
     "sample_std",
-    "save_records",
     "stability_table",
     "table1_table",
     "table2_table",

@@ -6,7 +6,7 @@ one JSON file per grid cell, addressed by a SHA-256 key over everything
 the result depends on — corpus fingerprint, split protocol, detector
 config, and record kind — so a resumed run recomputes only the missing
 cells and a changed corpus or ranking method can never alias a stale
-result.  All writes go through :func:`atomic_write_text`
+result.  All writes go through :func:`repro.ioutil.atomic_write_text`
 (``tempfile`` + ``os.replace``), so a crash mid-write leaves either the
 old file or the new one, never a truncated hybrid.
 """
@@ -25,9 +25,6 @@ import numpy as np
 from repro.analysis.records import record_from_payload, record_to_payload
 from repro.core.config import DetectorConfig
 
-# Re-exported for backward compatibility: the atomic writer now lives in
-# repro.ioutil so every JSON/binary dump in the repo shares one
-# implementation of the write-temp-fsync-replace discipline.
 from repro.ioutil import atomic_write_text, dumps_json
 from repro.obs import NULL_REGISTRY, Registry
 from repro.workloads.dataset import Dataset

@@ -1,4 +1,4 @@
-"""Evaluation-matrix runners regenerating the paper's result grid.
+"""Evaluation-matrix runner regenerating the paper's result grid.
 
 The paper's evaluation (§4) is one grid: 8 classifiers × {general,
 AdaBoost, Bagging} × {16, 8, 4, 2} HPCs, measured for accuracy (Fig. 3),
@@ -11,35 +11,31 @@ recorded in EXPERIMENTS.md).
 Results can be backed by a content-addressed, crash-safe
 :class:`~repro.analysis.cache.ResultCache` (per-record granularity,
 atomic writes) so interrupted runs resume instead of restarting and
-benchmarks/CLI re-render tables without retraining; the legacy
-whole-file JSON cache (:func:`save_records` / :func:`load_records`)
-remains for exporting finished record lists.  For fan-out over many
-worker processes see :class:`~repro.analysis.parallel.ParallelMatrixRunner`.
+benchmarks/CLI re-render tables without retraining.  With ``workers >
+1`` the cache-missing cells fan out over a
+``concurrent.futures.ProcessPoolExecutor``: each worker process builds
+one runner in its initializer, so the per-seed split and
+feature-ranking work is shared across every cell that worker
+evaluates.  Every record is a pure function of (corpus, split protocol,
+config), so results are bit-identical whatever ``workers`` is, and grid
+methods return records in input order.
 """
 
 from __future__ import annotations
 
-import json
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro.analysis.cache import CacheError, ResultCache, atomic_write_text, dataset_fingerprint, record_cache_key
-from repro.analysis.records import (
-    EvalRecord,
-    HardwareRecord,
-    RocRecord,
-    record_from_payload,
-    record_to_payload,
-)
+from repro.analysis.cache import ResultCache, dataset_fingerprint, record_cache_key
+from repro.analysis.records import EvalRecord, HardwareRecord, RocRecord
 from repro.core.config import CLASSIFIER_NAMES, DetectorConfig
 from repro.core.detector import HMDDetector
 from repro.features.correlation import FeatureRanking, rank_features
 from repro.hardware.lowering import lower
-from repro.ioutil import dumps_json
 from repro.ml.metrics import roc_curve
 from repro.ml.validation import app_level_split
 from repro.obs import NULL_REGISTRY, NULL_TRACER, Registry, Tracer
@@ -102,17 +98,24 @@ class MatrixRunner:
         dataset: full 44-event corpus.
         train_fraction: application-level split ratio (paper: 0.7).
         seeds: split seeds to average over.
+        workers: processes computing cache-missing grid cells; ``1``
+            (the default) computes them inline without a pool.
         cache: optional content-addressed result cache; hits skip
-            training entirely, misses are written back per record.
-        progress: optional callback invoked with a :class:`MatrixTiming`
-            as each grid cell completes (cache hits included).
+            training entirely, misses are written back per record as
+            they complete, so a killed run loses only cells in flight.
+        progress: optional callback invoked in this process with a
+            :class:`MatrixTiming` as each grid cell completes (cache
+            hits included).
         tracer: optional :class:`~repro.obs.Tracer` receiving
             ``matrix.fit`` / ``matrix.eval`` / ``matrix.roc`` /
             ``matrix.hardware`` / ``matrix.ranking`` spans; defaults to
             the disabled :data:`~repro.obs.NULL_TRACER` (a no-op).
+            Worker processes trace into their own buffers, absorbed
+            here as their cells land.
         metrics: optional :class:`~repro.obs.Registry` counting cached
             vs computed cells and observing per-stage wall-time
-            histograms; defaults to the disabled registry.
+            histograms; defaults to the disabled registry.  Worker
+            snapshots are merged into it.
     """
 
     def __init__(
@@ -120,6 +123,7 @@ class MatrixRunner:
         dataset: Dataset,
         train_fraction: float = 0.7,
         seeds: tuple[int, ...] = (7,),
+        workers: int = 1,
         cache: ResultCache | None = None,
         progress: Callable[[MatrixTiming], None] | None = None,
         tracer: Tracer | None = None,
@@ -127,6 +131,9 @@ class MatrixRunner:
     ) -> None:
         if not seeds:
             raise ValueError("need at least one split seed")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
         self.dataset = dataset
         self.train_fraction = train_fraction
         self.seeds = tuple(seeds)
@@ -150,7 +157,8 @@ class MatrixRunner:
             "matrix_eval_seconds", "per-cell scoring/lowering wall time"
         )
         self.timings: list[MatrixTiming] = []
-        #: Detectors trained by this runner (0 on a fully warm cache).
+        #: Detectors trained for this runner, in workers too (0 on a
+        #: fully warm cache).
         self.n_fits = 0
         self._splits = {
             seed: app_level_split(dataset, train_fraction, seed=seed)
@@ -209,24 +217,6 @@ class MatrixRunner:
             kind=kind,
             extra=extra,
         )
-
-    def cache_lookup(
-        self, config: DetectorConfig, kind: str, extra: dict | None = None
-    ):
-        """The cached record for one grid cell, or None (also on no cache)."""
-        if self.cache is None:
-            return None
-        record = self.cache.get(self.cache_key(config, kind, extra))
-        if record is not None:
-            self._note(MatrixTiming(config.name, kind, 0.0, 0.0, cached=True))
-        return record
-
-    def cache_store(
-        self, config: DetectorConfig, kind: str, record, extra: dict | None = None
-    ) -> None:
-        """Write one computed record back to the cache (if configured)."""
-        if self.cache is not None:
-            self.cache.put(self.cache_key(config, kind, extra), record)
 
     def _note(self, timing: MatrixTiming) -> None:
         self.timings.append(timing)
@@ -327,97 +317,135 @@ class MatrixRunner:
             config.name, RECORD_KIND_HARDWARE, fitted - start, done - fitted
         )
 
-    def compute_record(self, config: DetectorConfig, kind: str, **kwargs):
-        """Compute one grid cell (no cache read), store it, note timing."""
+    def _compute(self, config: DetectorConfig, kind: str, extra: dict | None) -> tuple:
+        """``(record, timing)`` of one grid cell of ``kind``."""
         if kind == RECORD_KIND_EVAL:
-            record, timing = self.timed_evaluate(config)
-        elif kind == RECORD_KIND_HARDWARE:
-            record, timing = self.timed_hardware(config)
-        elif kind == RECORD_KIND_ROC:
-            record, timing = self.timed_roc(config, **kwargs)
-        else:
-            raise ValueError(f"unknown record kind {kind!r}")
-        self.cache_store(config, kind, record, kwargs or None)
-        self._note(timing)
-        return record
+            return self.timed_evaluate(config)
+        if kind == RECORD_KIND_HARDWARE:
+            return self.timed_hardware(config)
+        if kind == RECORD_KIND_ROC:
+            return self.timed_roc(config, **extra)
+        raise ValueError(f"unknown record kind {kind!r}")
 
     # ------------------------------------------------------------------
     # public cache-aware API
     # ------------------------------------------------------------------
     def evaluate(self, config: DetectorConfig) -> EvalRecord:
         """Accuracy/AUC of one config, averaged over the split seeds."""
-        record = self.cache_lookup(config, RECORD_KIND_EVAL)
-        if record is None:
-            record = self.compute_record(config, RECORD_KIND_EVAL)
-        return record
+        return self.evaluate_grid([config])[0]
 
     def evaluate_grid(self, configs: list[DetectorConfig]) -> list[EvalRecord]:
-        return [self.evaluate(config) for config in configs]
+        return self._run_grid(configs, RECORD_KIND_EVAL)
 
     def roc(self, config: DetectorConfig, max_points: int = 200) -> RocRecord:
         """ROC curve of one config on the first split seed (Figure 4)."""
-        extra = {"max_points": max_points}
-        record = self.cache_lookup(config, RECORD_KIND_ROC, extra)
-        if record is None:
-            record = self.compute_record(config, RECORD_KIND_ROC, max_points=max_points)
-        return record
+        return self.roc_grid([config], max_points=max_points)[0]
 
     def roc_grid(
         self, configs: list[DetectorConfig], max_points: int = 200
     ) -> list[RocRecord]:
-        return [self.roc(config, max_points=max_points) for config in configs]
+        return self._run_grid(configs, RECORD_KIND_ROC, {"max_points": max_points})
 
     def hardware(self, config: DetectorConfig) -> HardwareRecord:
         """Hardware cost of one config trained on the first split seed."""
-        record = self.cache_lookup(config, RECORD_KIND_HARDWARE)
-        if record is None:
-            record = self.compute_record(config, RECORD_KIND_HARDWARE)
-        return record
+        return self.hardware_grid([config])[0]
 
     def hardware_grid(self, configs: list[DetectorConfig]) -> list[HardwareRecord]:
-        return [self.hardware(config) for config in configs]
+        return self._run_grid(configs, RECORD_KIND_HARDWARE)
+
+    def _run_grid(
+        self, configs: list[DetectorConfig], kind: str, extra: dict | None = None
+    ) -> list:
+        """Records of ``configs`` in input order, each distinct cell
+        looked up in the cache or computed exactly once."""
+        records: dict[DetectorConfig, object] = {}
+        pending: list[DetectorConfig] = []
+        for config in dict.fromkeys(configs):
+            record = None
+            if self.cache is not None:
+                record = self.cache.get(self.cache_key(config, kind, extra))
+            if record is None:
+                pending.append(config)
+            else:
+                records[config] = record
+                self._note(MatrixTiming(config.name, kind, 0.0, 0.0, cached=True))
+
+        def land(config: DetectorConfig, record, timing: MatrixTiming) -> None:
+            records[config] = record
+            if self.cache is not None:
+                self.cache.put(self.cache_key(config, kind, extra), record)
+            self._note(timing)
+
+        if self.workers == 1 or len(pending) <= 1:
+            for config in pending:
+                land(config, *self._compute(config, kind, extra))
+        else:
+            self._fan_out(pending, kind, extra, land)
+        return [records[config] for config in configs]
+
+    def _fan_out(
+        self,
+        pending: list[DetectorConfig],
+        kind: str,
+        extra: dict | None,
+        land: Callable[..., None],
+    ) -> None:
+        """Compute ``pending`` over a process pool, landing each cell
+        (with its worker's trace events and metrics) as it completes."""
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(pending)),
+            initializer=_init_worker,
+            initargs=(
+                self.dataset, self.train_fraction, self.seeds,
+                self.tracer.enabled, self.metrics.enabled,
+            ),
+        ) as pool:
+            futures = {
+                pool.submit(_worker_task, config, kind, extra): config
+                for config in pending
+            }
+            for future in as_completed(futures):
+                record, timing, fits, events, snapshot = future.result()
+                self.n_fits += fits
+                self.tracer.absorb(events)
+                if snapshot is not None:
+                    self.metrics.merge(snapshot)
+                land(futures[future], record, timing)
 
 
-# ----------------------------------------------------------------------
-# whole-file JSON export so finished record lists can be shipped around
-# ----------------------------------------------------------------------
+#: Per-worker-process runner, built once by :func:`_init_worker`; its
+#: tracer and registry buffer observability until drained back to the
+#: parent with every completed cell (events carry the worker's pid).
+_WORKER_RUNNER: MatrixRunner | None = None
 
-def save_records(path: str | Path, records: list) -> None:
-    """Serialize eval/hardware/roc records to a JSON file, atomically.
 
-    The file is written next to the target and renamed into place
-    (``tempfile`` + ``os.replace``), so an interrupted save never
-    truncates or corrupts an existing cache file.
+def _init_worker(
+    dataset: Dataset,
+    train_fraction: float,
+    seeds: tuple[int, ...],
+    trace_enabled: bool,
+    metrics_enabled: bool,
+) -> None:
+    """Build the worker's shared runner (splits computed once per worker)."""
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = MatrixRunner(
+        dataset, train_fraction=train_fraction, seeds=seeds,
+        tracer=Tracer(enabled=trace_enabled),
+        metrics=Registry(enabled=metrics_enabled),
+    )
+
+
+def _worker_task(config: DetectorConfig, kind: str, extra: dict | None) -> tuple:
+    """Compute one grid cell in a worker.
+
+    Returns ``(record, timing, fits, trace_events, metrics_snapshot)``;
+    the observability payloads are empty/None when disabled so the
+    pickle cost of the default path stays unchanged.
     """
-    payload = [record_to_payload(r) for r in records]
-    atomic_write_text(Path(path), dumps_json(payload))
-
-
-def load_records(path: str | Path) -> list:
-    """Load records previously written by :func:`save_records`.
-
-    Raises:
-        CacheError: if the file is not valid JSON (e.g. truncated by an
-            interrupted legacy writer) or does not contain a list of
-            tagged record payloads.
-    """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CacheError(
-            f"record cache {path} is corrupt or partially written "
-            f"(invalid JSON: {exc}); delete it to force a recompute"
-        ) from exc
-    if not isinstance(payload, list):
-        raise CacheError(
-            f"record cache {path} does not contain a record list; "
-            "delete it to force a recompute"
-        )
-    try:
-        return [record_from_payload(item) for item in payload]
-    except ValueError as exc:
-        raise CacheError(
-            f"record cache {path} holds an unreadable record ({exc}); "
-            "delete it to force a recompute"
-        ) from exc
+    runner = _WORKER_RUNNER
+    assert runner is not None, "worker used before initialization"
+    fits_before = runner.n_fits
+    record, timing = runner._compute(config, kind, extra)
+    events = runner.tracer.drain() if runner.tracer.enabled else []
+    snapshot = runner.metrics.drain() if runner.metrics.enabled else None
+    return record, timing, runner.n_fits - fits_before, events, snapshot

@@ -58,11 +58,11 @@ import time
 from repro import __version__
 from repro.analysis import (
     CacheError,
+    MatrixRunner,
     ResultCache,
     figure3_table,
     figure5_table,
     improvement_summary,
-    make_matrix_runner,
     table1_table,
     table2_table,
     table3_grid,
@@ -649,7 +649,7 @@ def _make_runner(
             metrics=metrics,
             stream=sys.stderr if args.timings else None,
         )
-    return make_matrix_runner(
+    return MatrixRunner(
         corpus, seeds=seeds, workers=args.workers, cache=cache,
         progress=progress, tracer=tracer, metrics=metrics,
     )
@@ -1077,61 +1077,52 @@ def cmd_watch(args: argparse.Namespace) -> int:
         rules=rules, slos=slos, window_s=args.health_window, stream=sys.stderr
     )
     q_transitions = q_critical = 0
-    if args.once:
-        try:
-            events = load_trace(args.trace)
-        except OSError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        last_ts = 0.0
+
+    def ingest(events: list[dict]) -> None:
+        nonlocal q_transitions, q_critical
         for event in events:
             evaluator.ingest(event)
             t, c = _quality_transition(event)
             q_transitions += t
             q_critical += c
-            last_ts = max(last_ts, float(event.get("ts", 0.0)))
+
+    if args.once:
+        try:
+            events = load_trace(args.trace)
+        except OSError as exc:
+            raise SystemExit(f"error: {exc}") from exc
+        ingest(events)
         if args.metrics:
             try:
                 snapshot = load_metrics(args.metrics)
             except (OSError, ValueError) as exc:
                 raise SystemExit(f"error: {exc}") from exc
+            last_ts = max([0.0] + [float(e.get("ts", 0.0)) for e in events])
             evaluator.absorb_metrics(snapshot, ts=last_ts)
             evaluator.tick(last_ts)
         print(health_table(evaluator.report()))
-        if q_transitions:
-            print(
-                f"quality: {q_transitions} drift alert transition(s), "
-                f"{q_critical} critical firing",
-                file=sys.stderr,
-            )
-        if args.health_out:
-            evaluator.dump(args.health_out)
-            print(f"wrote health report {args.health_out}", file=sys.stderr)
-        return 1 if evaluator.critical_fired() or q_critical else 0
-    trace_follower = TraceFollower(args.trace)
-    metrics_follower = MetricsFollower(args.metrics) if args.metrics else None
-    deadline = time.monotonic() + args.duration if args.duration else None
-    try:
-        while True:
-            for event in trace_follower.poll():
-                evaluator.ingest(event)
-                t, c = _quality_transition(event)
-                q_transitions += t
-                q_critical += c
-            if metrics_follower is not None:
-                delta = metrics_follower.poll()
-                if delta is not None:
-                    evaluator.absorb_metrics(delta)
-            evaluator.tick()
-            table = health_table(evaluator.report())
-            # Clear-and-home on a real terminal; plain append otherwise
-            # (pipes and tests get one table per refresh).
-            prefix = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
-            print(prefix + table, flush=True)
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
+    else:
+        trace_follower = TraceFollower(args.trace)
+        metrics_follower = MetricsFollower(args.metrics) if args.metrics else None
+        deadline = time.monotonic() + args.duration if args.duration else None
+        try:
+            while True:
+                ingest(trace_follower.poll())
+                if metrics_follower is not None:
+                    delta = metrics_follower.poll()
+                    if delta is not None:
+                        evaluator.absorb_metrics(delta)
+                evaluator.tick()
+                table = health_table(evaluator.report())
+                # Clear-and-home on a real terminal; plain append otherwise
+                # (pipes and tests get one table per refresh).
+                prefix = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
+                print(prefix + table, flush=True)
+                if deadline is not None and time.monotonic() >= deadline:
+                    break
+                time.sleep(args.interval)
+        except KeyboardInterrupt:
+            pass
     if q_transitions:
         print(
             f"quality: {q_transitions} drift alert transition(s), "

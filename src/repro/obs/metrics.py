@@ -5,8 +5,8 @@ as a Prometheus text exposition (``to_prometheus``) or as a JSON
 snapshot (``snapshot`` / ``dump``).  Histograms use *fixed* bucket
 boundaries chosen at creation — observation is O(log buckets) and two
 snapshots with the same boundaries merge exactly, which is what lets
-:class:`~repro.analysis.parallel.ParallelMatrixRunner` add worker
-snapshots into the parent registry without precision games.
+:class:`~repro.analysis.matrix.MatrixRunner` with ``workers > 1`` add
+worker snapshots into the parent registry without precision games.
 
 Like the tracer, everything is free when off: a ``Registry`` built with
 ``enabled=False`` (or the shared :data:`NULL_REGISTRY`) returns one

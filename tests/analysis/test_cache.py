@@ -7,12 +7,12 @@ import pytest
 from repro.analysis.cache import (
     CacheError,
     ResultCache,
-    atomic_write_text,
     dataset_fingerprint,
     record_cache_key,
 )
 from repro.analysis.records import EvalRecord, HardwareRecord, RocRecord
 from repro.core.config import DetectorConfig
+from repro.ioutil import atomic_write_text
 from repro.workloads.benign import BENIGN_FAMILIES
 from repro.workloads.corpus import CorpusBuilder
 from repro.workloads.malware import MALWARE_FAMILIES
@@ -138,6 +138,19 @@ def test_schema_mismatch_is_corrupt(tmp_path):
     cache.path_of(key).write_text(json.dumps(payload))
     assert cache.get(key) is None
     assert cache.stats.corrupt == 1
+
+
+@pytest.mark.parametrize(
+    "text", ['{"not": "a record"}', "[1, 2]", '{"kind": "Mystery", "data": {}}']
+)
+def test_unreadable_payload_is_corrupt(tmp_path, text):
+    cache = ResultCache(tmp_path / "cache")
+    key = _key()
+    cache.path_of(key).parent.mkdir(parents=True)
+    cache.path_of(key).write_text(text)
+    assert cache.get(key) is None
+    assert cache.stats.corrupt == 1
+    assert key not in cache
 
 
 def test_len_and_clear(tmp_path):

@@ -1,9 +1,8 @@
-"""Matrix runner, records, and JSON caching."""
+"""Matrix runner, records, and per-cell timings."""
 
 import pytest
 
-from repro.analysis.cache import CacheError
-from repro.analysis.matrix import MatrixRunner, MatrixTiming, load_records, paper_grid, save_records, table3_grid
+from repro.analysis.matrix import MatrixRunner, MatrixTiming, paper_grid, table3_grid
 from repro.obs import Registry, Tracer
 from repro.analysis.records import EvalRecord, HardwareRecord, RocRecord
 from repro.core.config import DetectorConfig
@@ -71,49 +70,6 @@ def test_record_names():
     assert r.name == "8HPC-SMO"
 
 
-def test_save_load_round_trip(tmp_path, runner):
-    records = [
-        runner.evaluate(DetectorConfig("OneR", "general", 2)),
-        runner.hardware(DetectorConfig("OneR", "general", 2)),
-        runner.roc(DetectorConfig("OneR", "general", 2)),
-    ]
-    path = tmp_path / "records.json"
-    save_records(path, records)
-    loaded = load_records(path)
-    assert loaded == records
-
-
-def test_save_records_is_atomic(tmp_path, runner):
-    """Saving leaves no temp files and survives overwriting in place."""
-    records = [runner.evaluate(DetectorConfig("OneR", "general", 2))]
-    path = tmp_path / "records.json"
-    save_records(path, records)
-    save_records(path, records)  # overwrite must not truncate-then-fail
-    assert load_records(path) == records
-    assert list(tmp_path.glob("*.tmp")) == []
-
-
-def test_load_records_corrupt_file_raises_clear_error(tmp_path):
-    path = tmp_path / "records.json"
-    path.write_text('[{"kind": "EvalRecord", "data"')  # truncated write
-    with pytest.raises(CacheError, match="corrupt or partially written"):
-        load_records(path)
-
-
-def test_load_records_wrong_shape_raises_clear_error(tmp_path):
-    path = tmp_path / "records.json"
-    path.write_text('{"not": "a list"}')
-    with pytest.raises(CacheError, match="does not contain a record list"):
-        load_records(path)
-
-
-def test_load_records_unknown_kind_raises_clear_error(tmp_path):
-    path = tmp_path / "records.json"
-    path.write_text('[{"kind": "Mystery", "data": {}}]')
-    with pytest.raises(CacheError, match="unknown record kind"):
-        load_records(path)
-
-
 def test_fit_respects_feature_method(runner):
     """Regression: the shared ranking must honour config.feature_method,
     not silently fall back to the default correlation ranking."""
@@ -168,21 +124,6 @@ def test_matrix_timing_aggregation_over_a_run():
     )
     compute = sum(t.total_seconds for t in timings if not t.cached)
     assert compute == pytest.approx(2.25)
-
-
-def test_load_records_truncated_mid_crash(tmp_path, runner):
-    """A legacy whole-file cache cut off mid-write (partial JSON) must
-    raise CacheError, not return a short record list."""
-    records = [
-        runner.evaluate(DetectorConfig("OneR", "general", 2)),
-        runner.hardware(DetectorConfig("OneR", "general", 2)),
-    ]
-    path = tmp_path / "records.json"
-    save_records(path, records)
-    full = path.read_text()
-    path.write_text(full[: int(len(full) * 0.6)])  # simulate crash mid-write
-    with pytest.raises(CacheError, match="corrupt or partially written"):
-        load_records(path)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Parallel matrix runner: determinism, cache resume, warm re-render."""
+"""MatrixRunner over a process pool: determinism, cache resume, warm re-render."""
 
 import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.matrix import MatrixRunner
-from repro.analysis.parallel import ParallelMatrixRunner, make_matrix_runner
 from repro.analysis.records import EvalRecord, HardwareRecord, RocRecord
 from repro.analysis.report import figure3_table, table2_table, table3_table
 from repro.core.config import DetectorConfig
@@ -29,39 +28,30 @@ def serial_records(small_corpus):
 
 
 def test_parallel_identical_to_serial(small_corpus, serial_records):
-    runner = ParallelMatrixRunner(small_corpus, seeds=(7,), workers=4)
+    runner = MatrixRunner(small_corpus, seeds=(7,), workers=4)
     assert runner.evaluate_grid(SLICE) == serial_records
 
 
 def test_single_worker_runs_inline(small_corpus, serial_records):
-    runner = ParallelMatrixRunner(small_corpus, seeds=(7,), workers=1)
+    runner = MatrixRunner(small_corpus, seeds=(7,), workers=1)
     assert runner.evaluate_grid(SLICE) == serial_records
 
 
 def test_rejects_bad_worker_count(small_corpus):
     with pytest.raises(ValueError):
-        ParallelMatrixRunner(small_corpus, workers=0)
-    with pytest.raises(ValueError):
-        make_matrix_runner(small_corpus, workers=0)
-
-
-def test_make_matrix_runner_dispatch(small_corpus):
-    assert isinstance(make_matrix_runner(small_corpus, workers=1), MatrixRunner)
-    assert isinstance(
-        make_matrix_runner(small_corpus, workers=2), ParallelMatrixRunner
-    )
+        MatrixRunner(small_corpus, workers=0)
 
 
 def test_hardware_and_roc_grids_match_serial(small_corpus):
     serial = MatrixRunner(small_corpus, seeds=(7,))
-    parallel = ParallelMatrixRunner(small_corpus, seeds=(7,), workers=2)
+    parallel = MatrixRunner(small_corpus, seeds=(7,), workers=2)
     assert parallel.hardware_grid(HW_SLICE) == serial.hardware_grid(HW_SLICE)
     assert parallel.roc_grid(HW_SLICE) == serial.roc_grid(HW_SLICE)
 
 
 def test_warm_cache_rerenders_with_zero_fits(small_corpus, serial_records, tmp_path):
     cache_dir = tmp_path / "cache"
-    cold = ParallelMatrixRunner(
+    cold = MatrixRunner(
         small_corpus, seeds=(7,), workers=2, cache=ResultCache(cache_dir)
     )
     cold_records = cold.evaluate_grid(SLICE)
@@ -69,7 +59,7 @@ def test_warm_cache_rerenders_with_zero_fits(small_corpus, serial_records, tmp_p
     assert cold_records == serial_records
     assert cold.n_fits == len(SLICE) + len(HW_SLICE)
 
-    warm = ParallelMatrixRunner(
+    warm = MatrixRunner(
         small_corpus, seeds=(7,), workers=2, cache=ResultCache(cache_dir)
     )
     warm_records = warm.evaluate_grid(SLICE)
@@ -88,12 +78,12 @@ def test_warm_cache_rerenders_with_zero_fits(small_corpus, serial_records, tmp_p
 def test_interrupted_run_resumes_from_partial_cache(small_corpus, tmp_path):
     """Simulate a crash after two cells: the rerun trains only the rest."""
     cache_dir = tmp_path / "cache"
-    first = ParallelMatrixRunner(
+    first = MatrixRunner(
         small_corpus, seeds=(7,), workers=1, cache=ResultCache(cache_dir)
     )
     first.evaluate_grid(SLICE[:2])  # the part that finished before the "crash"
 
-    resumed = ParallelMatrixRunner(
+    resumed = MatrixRunner(
         small_corpus, seeds=(7,), workers=2, cache=ResultCache(cache_dir)
     )
     records = resumed.evaluate_grid(SLICE)
@@ -105,15 +95,15 @@ def test_corrupt_cache_entry_recomputed(small_corpus, tmp_path):
     """A truncated cache file degrades to a recompute, never an error."""
     cache_dir = tmp_path / "cache"
     cache = ResultCache(cache_dir)
-    runner = ParallelMatrixRunner(
+    runner = MatrixRunner(
         small_corpus, seeds=(7,), workers=1, cache=cache
     )
     config = SLICE[0]
     record = runner.evaluate(config)
-    key = runner._serial.cache_key(config, "eval")
+    key = runner.cache_key(config, "eval")
     cache.path_of(key).write_text("{ truncated garbage")
 
-    rerun = ParallelMatrixRunner(
+    rerun = MatrixRunner(
         small_corpus, seeds=(7,), workers=1, cache=ResultCache(cache_dir)
     )
     assert rerun.evaluate(config) == record
@@ -123,7 +113,7 @@ def test_corrupt_cache_entry_recomputed(small_corpus, tmp_path):
 
 def test_progress_callback_fires_in_parent(small_corpus, tmp_path):
     seen = []
-    runner = ParallelMatrixRunner(
+    runner = MatrixRunner(
         small_corpus, seeds=(7,), workers=2,
         cache=ResultCache(tmp_path / "cache"), progress=seen.append,
     )
@@ -137,15 +127,33 @@ def test_progress_callback_fires_in_parent(small_corpus, tmp_path):
 def test_multi_seed_parallel_matches_serial(small_corpus):
     configs = SLICE[:2]
     serial = MatrixRunner(small_corpus, seeds=(1, 2)).evaluate_grid(configs)
-    parallel = ParallelMatrixRunner(
+    parallel = MatrixRunner(
         small_corpus, seeds=(1, 2), workers=2
     ).evaluate_grid(configs)
     assert parallel == serial
     assert all(isinstance(r, EvalRecord) and r.n_seeds == 2 for r in parallel)
 
 
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repeated_cell_fits_once(small_corpus, tmp_path, workers, cached):
+    """A grid naming a cell twice fits it once and fills both slots."""
+    one_r, rep_tree = SLICE[1], SLICE[5]  # 2HPC-OneR, 2HPC-REPTree
+    cache = ResultCache(tmp_path / "cache") if cached else None
+    runner = MatrixRunner(small_corpus, seeds=(7,), workers=workers, cache=cache)
+    records = runner.evaluate_grid([one_r, rep_tree, one_r])
+    expected = MatrixRunner(small_corpus, seeds=(7,)).evaluate_grid(
+        [one_r, rep_tree]
+    )
+    assert records == [expected[0], expected[1], expected[0]]
+    assert runner.n_fits == 2
+    assert sorted(t.name for t in runner.timings) == sorted(
+        [one_r.name, rep_tree.name]
+    )
+
+
 def test_record_types(small_corpus):
-    runner = ParallelMatrixRunner(small_corpus, seeds=(7,), workers=2)
+    runner = MatrixRunner(small_corpus, seeds=(7,), workers=2)
     assert all(isinstance(r, HardwareRecord) for r in runner.hardware_grid(HW_SLICE))
     assert all(isinstance(r, RocRecord) for r in runner.roc_grid(HW_SLICE))
 
@@ -159,7 +167,7 @@ def test_parallel_run_merges_worker_traces_and_metrics(small_corpus):
 
     tracer = Tracer()
     metrics = Registry()
-    runner = ParallelMatrixRunner(
+    runner = MatrixRunner(
         small_corpus, seeds=(7,), workers=2, tracer=tracer, metrics=metrics
     )
     records = runner.evaluate_grid(SLICE[:4])
@@ -182,21 +190,9 @@ def test_parallel_run_merges_worker_traces_and_metrics(small_corpus):
 
 def test_parallel_obs_disabled_ships_no_payloads(small_corpus):
     """The default path returns empty observability payloads (pickle-free)."""
-    runner = ParallelMatrixRunner(small_corpus, seeds=(7,), workers=2)
+    runner = MatrixRunner(small_corpus, seeds=(7,), workers=2)
     runner.evaluate_grid(SLICE[:2])
     assert runner.tracer.events == []
     assert runner.metrics.snapshot() == {
         "counters": {}, "gauges": {}, "histograms": {},
     }
-
-
-def test_make_matrix_runner_threads_obs_through(small_corpus):
-    from repro.obs import Registry, Tracer
-
-    tracer, metrics = Tracer(), Registry()
-    serial = make_matrix_runner(small_corpus, tracer=tracer, metrics=metrics)
-    assert serial.tracer is tracer and serial.metrics is metrics
-    parallel = make_matrix_runner(
-        small_corpus, workers=2, tracer=tracer, metrics=metrics
-    )
-    assert parallel.tracer is tracer and parallel.metrics is metrics
